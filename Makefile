@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race soak soak-obs soak-par soak-cmp soak-serve api apicheck check fuzz clean bench bench-check
+.PHONY: build test vet race soak soak-obs soak-par soak-cmp soak-serve perfbench-test api apicheck check fuzz clean bench bench-check
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,17 @@ build:
 test: build
 	$(GO) test ./...
 
+# Static analysis: go vet plus a gofmt gate over every Go file of the
+# repository (the perfbench module included; .bench_build/ is build
+# state, not source).
 vet:
 	$(GO) vet ./...
+	@bad=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$bad" ]; then \
+		echo "vet: files not gofmt-formatted (run gofmt -w):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...
@@ -66,6 +75,12 @@ soak-cmp: vet
 soak-serve: vet
 	$(GO) test -race -count=1 ./internal/serve/
 
+# The repository benchmark (perfbench/) is a nested Go module, so the
+# root `go test ./...` never reaches its tests (the correctness checks
+# every benchmark run applies to its outputs); run them in place.
+perfbench-test:
+	cd perfbench && $(GO) test .
+
 # Public API surface lock: API.txt is the committed `go doc -all .`
 # golden. After a deliberate surface change, run `make api` and commit
 # the diff; `make apicheck` fails when the exported surface drifts
@@ -93,7 +108,7 @@ apicheck: build
 	fi
 
 # Tier-2: everything above plus the benchmark regression gate.
-check: vet test race soak soak-obs soak-par soak-cmp soak-serve apicheck bench-check
+check: vet test race soak soak-obs soak-par soak-cmp soak-serve perfbench-test apicheck bench-check
 
 # Benchmark baseline maintenance. `make bench` runs the locked tick
 # benchmarks (per scheme and load point, active-set and full-walk, with

@@ -377,8 +377,10 @@ func (e *Engine) checkConservation(now int64) {
 // checkVCLegality verifies the per-VC state machine: occupancy within
 // depth, VA only after RC, flits in the VCs of their own virtual
 // network, routes matching the fabric's routing function, allocated
-// out-VCs inside the packet's dateline class on wrapped fabrics, and
-// the downstream VC ownership table consistent in both directions.
+// out-VCs inside the packet's dateline class on wrapped fabrics, the
+// downstream VC ownership table consistent in both directions, and the
+// router's scan masks (occupancy, per-output request, VA-pending) in
+// agreement with the VC state they summarize (router.VCView.MaskFault).
 func (e *Engine) checkVCLegality(now int64) {
 	if e.first != nil {
 		return
@@ -396,6 +398,11 @@ func (e *Engine) checkVCLegality(now int64) {
 			}
 			if vv.VADone && !vv.Routed {
 				e.fail(now, "vc-legality", "router %d %v vc%d: VA done before RC", i, vv.Port, vv.Index)
+				return
+			}
+			if msg := vv.MaskFault(); msg != "" {
+				e.fail(now, "vc-legality", "router %d %v vc%d: scan masks disagree with VC state: %s",
+					i, vv.Port, vv.Index, msg)
 				return
 			}
 			if vv.VADone {

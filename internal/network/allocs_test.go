@@ -175,7 +175,7 @@ func TestStepAllocsLoadedSteadyState(t *testing.T) {
 					if seq%2 == 0 {
 						kind = flit.KindData
 					}
-					p := n.NewPacket(src, dst, flit.VirtualNetwork(seq % 3), kind)
+					p := n.NewPacket(src, dst, flit.VirtualNetwork(seq%3), kind)
 					n.NI(src).Submit(p, true, n.Now())
 				}
 				seq++
@@ -209,7 +209,7 @@ func TestStepAllocsLoadedSteadyState(t *testing.T) {
 						if seq%2 == 0 {
 							kind = flit.KindData
 						}
-						subs = append(subs, sub{p: n.NewPacket(src, dst, flit.VirtualNetwork(seq % 3), kind), at: i})
+						subs = append(subs, sub{p: n.NewPacket(src, dst, flit.VirtualNetwork(seq%3), kind), at: i})
 					}
 					seq++
 				}

@@ -44,7 +44,8 @@ type FlitInTransit struct {
 // vc is one input virtual channel: a FIFO of flits plus the routing state
 // of the packet currently at its front.
 type vc struct {
-	idx   int // global VC index within the port
+	port  int // input port (mesh.Direction) this VC belongs to
+	idx   int // VC index within the port
 	depth int
 
 	buf []*flit.Flit
@@ -85,7 +86,7 @@ func (v *vc) pop() *flit.Flit {
 // InputPort is one of the router's five input ports.
 type InputPort struct {
 	dir mesh.Direction
-	vcs []*vc
+	vcs []vc // this port's window into Router.vcs
 	// CreditOut carries freed-slot credits back to the upstream router
 	// (or the local NI for the Local port). Owned by the network.
 	CreditOut *link.Pipe[Credit]
@@ -131,6 +132,10 @@ func (op *OutputPort) Owner(v int) int { return op.owner[v] }
 //     independent of arrival order — so the receiver's worker may apply
 //     arrivals from several upstream routers in any port order.
 //   - EmitPunches reads only this router's own input VC buffers.
+//   - The scan masks (occ, pend, req) are owner-exclusive router state:
+//     only this router's Step and ReceiveFlit write them, so they live
+//     and die with the VC state they summarize and need no
+//     synchronization beyond the router's own.
 type Router struct {
 	ID   mesh.NodeID
 	cfg  *config.Config
@@ -147,12 +152,28 @@ type Router struct {
 	swRR     [mesh.NumPorts]int
 	trouter  int64
 
-	// occ is a bitset over global VC keys (vcKey) with a bit set exactly
-	// while that input VC buffers at least one flit. The per-cycle router
-	// stages iterate set bits instead of probing every (port, VC)
-	// combination, so stage cost scales with resident packets, not with
-	// the 5 x numVCs buffer geometry.
-	occ []uint64
+	// vcs holds every input VC of every port contiguously, indexed by
+	// arbitration key (vcKey); each InputPort.vcs is a window into it.
+	vcs []vc
+
+	// Scan masks: bitsets over vcKey that let the per-cycle stages visit
+	// only the VCs with work for them, so stage cost scales with resident
+	// packets, not with the 5 x numVCs buffer geometry.
+	//
+	//   - occ: the VC buffers at least one flit.
+	//   - req[p]: the VC holds a route toward output p (routed && outDir
+	//     == p). A routed VC is in exactly one req mask; the bit can
+	//     outlive the buffered flits (a wormhole body still upstream), so
+	//     switch allocation scans occ & req[p].
+	//   - pend: the VC's front flit is a head still waiting for route
+	//     computation or VC allocation (!vaDone) — the VA stage's work.
+	//
+	// Every mask is carved from one backing slice. The FullTick reference
+	// scans maintain them at the same mutation points but never read
+	// them; VCView.MaskFault checks them against the VC state on both.
+	occ  []uint64
+	pend []uint64
+	req  [mesh.NumPorts][]uint64
 
 	// forwardHook, when set, is called with the downstream router's ID
 	// whenever a flit is pushed onto a non-Local output link. The
@@ -211,6 +232,7 @@ type Router struct {
 // No-PG baseline). acct may be nil.
 func New(id mesh.NodeID, rf topo.RoutingFunction, cfg *config.Config, ctrl *pg.Controller, acct *power.Accountant) *Router {
 	numVCs := int(flit.NumVirtualNetworks) * cfg.VCsPerVN()
+	total := mesh.NumPorts * numVCs
 	r := &Router{
 		ID:      id,
 		cfg:     cfg,
@@ -220,39 +242,57 @@ func New(id mesh.NodeID, rf topo.RoutingFunction, cfg *config.Config, ctrl *pg.C
 		numVCs:  numVCs,
 		classes: rf.VCClasses(),
 		trouter: int64(cfg.RouterCycles()),
+		vcs:     make([]vc, total),
 	}
-	r.occ = make([]uint64, (mesh.NumPorts*numVCs+63)/64)
+	words := (total + 63) / 64
+	masks := make([]uint64, (2+mesh.NumPorts)*words)
+	r.occ, masks = masks[:words:words], masks[words:]
+	r.pend, masks = masks[:words:words], masks[words:]
+	for p := range r.req {
+		r.req[p], masks = masks[:words:words], masks[words:]
+	}
 	for p := range r.thruNbr {
 		r.thruNbr[p] = mesh.Invalid
 	}
+
+	// Buffers are preallocated to the credit-enforced depth so push never
+	// grows them mid-run: on large fabrics the long tail of first-time-full
+	// VCs would otherwise keep the steady-state tick allocating for tens
+	// of thousands of cycles. Every VC's flit and arrival-stamp buffer is
+	// a capacity-capped window of one per-router backing slice.
+	depth := 0
+	for v := 0; v < numVCs; v++ {
+		depth += cfg.VCDepth(v % cfg.VCsPerVN())
+	}
+	flits := make([]*flit.Flit, mesh.NumPorts*depth)
+	arrs := make([]int64, mesh.NumPorts*depth)
+	ports := make([]int, 2*total) // per output port: credits, then owners
+	ins := make([]InputPort, mesh.NumPorts)
+	outs := make([]OutputPort, mesh.NumPorts)
+	off := 0
 	for p := 0; p < mesh.NumPorts; p++ {
 		dir := mesh.Direction(p)
-		ip := &InputPort{
-			dir:       dir,
-			CreditOut: link.NewPipe[Credit](cfg.LinkLatency),
-		}
-		for v := 0; v < numVCs; v++ {
-			// Buffers are preallocated to the credit-enforced depth so
-			// push never grows them mid-run: on large fabrics the long
-			// tail of first-time-full VCs would otherwise keep the
-			// steady-state tick allocating for tens of thousands of
-			// cycles.
+		ip := &ins[p]
+		ip.dir = dir
+		ip.CreditOut = link.NewPipe[Credit](cfg.LinkLatency)
+		ip.vcs = r.vcs[p*numVCs : (p+1)*numVCs : (p+1)*numVCs]
+		for v := range ip.vcs {
 			d := cfg.VCDepth(v % cfg.VCsPerVN())
-			ip.vcs = append(ip.vcs, &vc{
-				idx: v, depth: d,
-				buf: make([]*flit.Flit, 0, d),
-				arr: make([]int64, 0, d),
-			})
+			ip.vcs[v] = vc{
+				port: p, idx: v, depth: d,
+				buf: flits[off : off : off+d],
+				arr: arrs[off : off : off+d],
+			}
+			off += d
 		}
 		r.in[p] = ip
 
-		op := &OutputPort{
-			dir:      dir,
-			neighbor: mesh.Invalid,
-			FlitOut:  link.NewPipe[FlitInTransit](cfg.LinkLatency),
-			credits:  make([]int, numVCs),
-			owner:    make([]int, numVCs),
-		}
+		op := &outs[p]
+		op.dir = dir
+		op.neighbor = mesh.Invalid
+		op.FlitOut = link.NewPipe[FlitInTransit](cfg.LinkLatency)
+		op.credits = ports[2*p*numVCs : (2*p+1)*numVCs : (2*p+1)*numVCs]
+		op.owner = ports[(2*p+1)*numVCs : (2*p+2)*numVCs : (2*p+2)*numVCs]
 		if dir != mesh.Local {
 			op.neighbor = rf.Topology().Neighbor(id, dir)
 		}
@@ -290,12 +330,18 @@ func (r *Router) Empty() bool { return r.buffered == 0 }
 // channel vcIdx (the VC the upstream allocator chose). The caller
 // guarantees buffer space (credit-based flow control).
 func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int64) {
-	v := r.in[d].vcs[vcIdx]
+	key := r.vcKey(int(d), vcIdx)
+	v := &r.vcs[key]
 	if len(v.buf) >= v.depth {
 		panic(fmt.Sprintf("router %d: VC overflow on %v vc%d (credit protocol violated)", r.ID, d, vcIdx))
 	}
+	if v.empty() {
+		setBit(r.occ, key)
+		if f.Type.IsHead() && !v.vaDone {
+			setBit(r.pend, key)
+		}
+	}
 	v.push(f, now)
-	r.setOcc(r.vcKey(int(d), vcIdx))
 	r.buffered++
 	if r.acct != nil {
 		r.acct.BufferWrite(int(r.ID))
@@ -306,7 +352,7 @@ func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int6
 // The NI, which plays the upstream-router role on the Local port, keeps
 // its own credit count; this is for tests and assertions.
 func (r *Router) CanAcceptFlit(d mesh.Direction, vcIdx int) bool {
-	v := r.in[d].vcs[vcIdx]
+	v := &r.in[d].vcs[vcIdx]
 	return len(v.buf) < v.depth
 }
 
@@ -324,29 +370,84 @@ func (r *Router) VCOccupancy(d mesh.Direction, v int) int {
 // vcKey packs (input port, vc index) into a single arbitration key.
 func (r *Router) vcKey(port, vcIdx int) int { return port*r.numVCs + vcIdx }
 
-func (r *Router) setOcc(key int)   { r.occ[key>>6] |= 1 << (key & 63) }
-func (r *Router) clearOcc(key int) { r.occ[key>>6] &^= 1 << (key & 63) }
+func setBit(m []uint64, key int)      { m[key>>6] |= 1 << (key & 63) }
+func clearBit(m []uint64, key int)    { m[key>>6] &^= 1 << (key & 63) }
+func hasBit(m []uint64, key int) bool { return m[key>>6]&(1<<(key&63)) != 0 }
 
-// nextOcc returns the smallest occupied VC key >= from, or -1. Keys come
-// back in ascending order, so iterating nextOcc(0), nextOcc(k+1), ...
-// visits occupied VCs in exactly the (port, vc) order the plain nested
-// loops would.
-func (r *Router) nextOcc(from int) int {
+// nextBit returns the smallest key >= from set in m, or -1. Keys come back
+// in ascending order, so iterating nextBit(m, 0), nextBit(m, k+1), ...
+// visits the VCs in exactly the (port, vc) order the plain nested loops
+// would. The mask is re-read on every call, so bits the caller clears
+// behind the cursor never matter.
+func nextBit(m []uint64, from int) int {
 	w := from >> 6
-	if w >= len(r.occ) {
+	if w >= len(m) {
 		return -1
 	}
-	word := r.occ[w] &^ (1<<(from&63) - 1)
+	word := m[w] &^ (1<<(from&63) - 1)
 	for {
 		if word != 0 {
 			return w<<6 + bits.TrailingZeros64(word)
 		}
 		w++
-		if w >= len(r.occ) {
+		if w >= len(m) {
 			return -1
 		}
-		word = r.occ[w]
+		word = m[w]
 	}
+}
+
+// nextReq returns the smallest occupied VC key >= from that requests
+// output p (occ & req[p]), or -1; the ascending order of nextBit.
+func (r *Router) nextReq(p, from int) int {
+	occ, req := r.occ, r.req[p]
+	w := from >> 6
+	if w >= len(occ) {
+		return -1
+	}
+	word := occ[w] & req[w] &^ (1<<(from&63) - 1)
+	for {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+		w++
+		if w >= len(occ) {
+			return -1
+		}
+		word = occ[w] & req[w]
+	}
+}
+
+// popFront removes VC key's front flit, keeping buffered and occ in step.
+func (r *Router) popFront(key int, v *vc) *flit.Flit {
+	out := v.pop()
+	if v.empty() {
+		clearBit(r.occ, key)
+	}
+	r.buffered--
+	return out
+}
+
+// releaseRoute drops VC key's per-packet route state after its tail
+// flit left, and re-arms VA for the next packet's head if one is
+// already queued behind it.
+func (r *Router) releaseRoute(key int, v *vc) {
+	clearBit(r.req[v.outDir], key)
+	v.routed = false
+	v.vaDone = false
+	v.blockedOnce = false
+	if !v.empty() && v.front().Type.IsHead() {
+		setBit(r.pend, key)
+	}
+}
+
+// setRoute records route computation for the head at VC key's front.
+func (r *Router) setRoute(key int, v *vc, f *flit.Flit) {
+	v.outDir = topo.MustRoute(r.rf, r.ID, f.Dst())
+	v.routed = true
+	v.blockedOnce = false
+	v.thruOK = r.bypassOn && r.thruEligible(v.outDir, f)
+	setBit(r.req[v.outDir], key)
 }
 
 // Step advances the router one cycle: switch traversal first, then VC
@@ -360,7 +461,7 @@ func (r *Router) Step(now int64) {
 	if r.cfg.FullTick {
 		// Reference mode: the seed's simple probing walks, kept verbatim
 		// so the differential path exercises the original implementation,
-		// not the occupancy-bitset rewrite it validates.
+		// not the mask-driven rewrite it validates.
 		r.stepSTRef(now)
 		r.stepVARef(now)
 		return
@@ -372,10 +473,14 @@ func (r *Router) Step(now int64) {
 // stepST performs switch allocation + traversal: for every output port,
 // pick one eligible input VC round-robin and forward its front flit. For
 // an output masked by a gated/waking neighbor it instead accrues the
-// paper's per-packet blocking statistics (Figures 9 and 10).
+// paper's per-packet blocking statistics (Figures 9 and 10). Each output
+// scans only its own requesters (occ & req[p]).
 func (r *Router) stepST(now int64) {
-	total := mesh.NumPorts * r.numVCs
+	total := len(r.vcs)
 	for p := 0; p < mesh.NumPorts; p++ {
+		if r.nextReq(p, 0) == -1 {
+			continue // no resident packet routed toward p
+		}
 		op := r.out[p]
 		if op.Blocked {
 			// Downstream router is gated or waking. Under a bypass
@@ -385,11 +490,8 @@ func (r *Router) stepST(now int64) {
 			if r.bypassOn {
 				r.stepBypass(p, now)
 			}
-			for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-				v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-				if !v.routed || int(v.outDir) != p {
-					continue
-				}
+			for key := r.nextReq(p, 0); key != -1; key = r.nextReq(p, key+1) {
+				v := &r.vcs[key]
 				if r.bypassOn && r.wantSuppressed(v) {
 					continue // served by the bypass path, not PG-blocked
 				}
@@ -404,16 +506,16 @@ func (r *Router) stepST(now int64) {
 					pkt.BlockedRouters++
 				}
 				if r.bus != nil {
-					r.emitStall(p, key%r.numVCs, pkt)
+					r.emitStall(p, v.idx, pkt)
 				}
 			}
 			continue
 		}
 
-		// Round-robin over the occupied VCs only, starting at swRR[p] and
+		// Round-robin over the requesters only, starting at swRR[p] and
 		// wrapping: pass 0 covers [swRR[p], total), pass 1 [0, swRR[p]) —
 		// the same circular order the full (swRR[p]+k)%total probe walks,
-		// with its empty slots deleted.
+		// with the non-requesting slots deleted.
 		start := r.swRR[p]
 	grant:
 		for pass := 0; pass < 2; pass++ {
@@ -421,9 +523,9 @@ func (r *Router) stepST(now int64) {
 			if pass == 1 {
 				lo, hi = 0, start
 			}
-			for key := r.nextOcc(lo); key != -1 && key < hi; key = r.nextOcc(key + 1) {
-				v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-				if !v.routed || int(v.outDir) != p || !v.vaDone {
+			for key := r.nextReq(p, lo); key != -1 && key < hi; key = r.nextReq(p, key+1) {
+				v := &r.vcs[key]
+				if !v.vaDone {
 					continue
 				}
 				if now-v.frontArrival() < r.trouter {
@@ -435,11 +537,7 @@ func (r *Router) stepST(now int64) {
 
 				// Grant: traverse the switch and the link.
 				r.swRR[p] = (key + 1) % total
-				out := v.pop()
-				if v.empty() {
-					r.clearOcc(key)
-				}
-				r.buffered--
+				out := r.popFront(key, v)
 				op.credits[v.outVC]--
 				op.FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC}, now)
 				r.FlitsForwarded++
@@ -456,14 +554,12 @@ func (r *Router) stepST(now int64) {
 					r.emitGrant(op, out, v.outVC)
 				}
 				// Return the freed slot upstream.
-				r.in[key/r.numVCs].CreditOut.Push(Credit{VC: key % r.numVCs}, now)
+				r.in[v.port].CreditOut.Push(Credit{VC: v.idx}, now)
 
 				if out.Type.IsTail() {
 					// Release the downstream VC and the per-packet state.
 					op.owner[v.outVC] = -1
-					v.routed = false
-					v.vaDone = false
-					v.blockedOnce = false
+					r.releaseRoute(key, v)
 				}
 				break grant // one flit per output port per cycle
 			}
@@ -474,9 +570,9 @@ func (r *Router) stepST(now int64) {
 // stepSTRef is the reference (Config.FullTick) switch stage: the seed's
 // full probe over every (input port, VC) slot, kept structurally intact
 // so differential runs compare the production bitset scan against the
-// original implementation. The only additions are occ maintenance on pop
-// (ReceiveFlit sets the bit unconditionally) and the forward hook, which
-// is nil under FullTick.
+// original implementation. The only additions are scan-mask maintenance
+// on pop and tail release (popFront, releaseRoute) and the forward hook,
+// which is nil under FullTick.
 func (r *Router) stepSTRef(now int64) {
 	total := mesh.NumPorts * r.numVCs
 	for p := 0; p < mesh.NumPorts; p++ {
@@ -490,7 +586,7 @@ func (r *Router) stepSTRef(now int64) {
 			}
 			for ip := 0; ip < mesh.NumPorts; ip++ {
 				for vi := 0; vi < r.numVCs; vi++ {
-					v := r.in[ip].vcs[vi]
+					v := &r.in[ip].vcs[vi]
 					if v.empty() || !v.routed || int(v.outDir) != p {
 						continue
 					}
@@ -518,7 +614,7 @@ func (r *Router) stepSTRef(now int64) {
 		for k := 0; k < total; k++ {
 			key := (r.swRR[p] + k) % total
 			ip, vi := key/r.numVCs, key%r.numVCs
-			v := r.in[ip].vcs[vi]
+			v := &r.in[ip].vcs[vi]
 			if v.empty() || !v.routed || int(v.outDir) != p || !v.vaDone {
 				continue
 			}
@@ -531,11 +627,7 @@ func (r *Router) stepSTRef(now int64) {
 
 			// Grant: traverse the switch and the link.
 			r.swRR[p] = (key + 1) % total
-			out := v.pop()
-			if v.empty() {
-				r.clearOcc(key)
-			}
-			r.buffered--
+			out := r.popFront(key, v)
 			op.credits[v.outVC]--
 			op.FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC}, now)
 			r.FlitsForwarded++
@@ -557,9 +649,7 @@ func (r *Router) stepSTRef(now int64) {
 			if out.Type.IsTail() {
 				// Release the downstream VC and the per-packet state.
 				op.owner[v.outVC] = -1
-				v.routed = false
-				v.vaDone = false
-				v.blockedOnce = false
+				r.releaseRoute(key, v)
 			}
 			break // one flit per output port per cycle
 		}
@@ -610,19 +700,20 @@ func (r *Router) wantSuppressed(v *vc) bool {
 // stepBypass arbitrates the bypass path for output port p while the
 // downstream neighbor asserts PG: at most one flit per cycle flies
 // over the gated neighbor onto the landing router two hops out,
-// chosen by the same round-robin order as normal switch allocation.
+// chosen by the same round-robin order as normal switch allocation,
+// over the same requesters (occ & req[p]).
 func (r *Router) stepBypass(p int, now int64) {
 	if r.thruOut[p] == nil {
 		return
 	}
-	total := mesh.NumPorts * r.numVCs
+	total := len(r.vcs)
 	start := r.swRR[p]
 	for pass := 0; pass < 2; pass++ {
 		lo, hi := start, total
 		if pass == 1 {
 			lo, hi = 0, start
 		}
-		for key := r.nextOcc(lo); key != -1 && key < hi; key = r.nextOcc(key + 1) {
+		for key := r.nextReq(p, lo); key != -1 && key < hi; key = r.nextReq(p, key+1) {
 			if r.tryBypassGrant(key, p, now) {
 				return
 			}
@@ -658,7 +749,7 @@ func (r *Router) stepBypassRef(p int, now int64) {
 // wake-in-progress at the flown-over router never strands a wormhole
 // mid-stream.
 func (r *Router) tryBypassGrant(key, p int, now int64) bool {
-	v := r.in[key/r.numVCs].vcs[key%r.numVCs]
+	v := &r.vcs[key]
 	if !v.routed || int(v.outDir) != p {
 		return false
 	}
@@ -698,18 +789,16 @@ func (r *Router) tryBypassGrant(key, p int, now int64) bool {
 		v.outVC = ov
 		v.bypassing = true
 		r.bypassStreams[p]++
+		// The head leaves below without a VA stage of its own.
+		clearBit(r.pend, key)
 	}
 
 	// Grant: the flit traverses this router's switch, the first link,
 	// the neighbor's bypass latch, and the second link, landing in the
 	// input buffer of the router two hops out one cycle after it would
 	// have reached the neighbor.
-	r.swRR[p] = (key + 1) % (mesh.NumPorts * r.numVCs)
-	out := v.pop()
-	if v.empty() {
-		r.clearOcc(key)
-	}
-	r.buffered--
+	r.swRR[p] = (key + 1) % len(r.vcs)
+	out := r.popFront(key, v)
 	to.credits[v.outVC]--
 	r.out[p].FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC, Bypass: true}, now)
 	r.FlitsForwarded++
@@ -738,18 +827,16 @@ func (r *Router) tryBypassGrant(key, p int, now int64) bool {
 		})
 	}
 	// Return the freed slot upstream.
-	r.in[key/r.numVCs].CreditOut.Push(Credit{VC: key % r.numVCs}, now)
+	r.in[v.port].CreditOut.Push(Credit{VC: v.idx}, now)
 
 	if out.Type.IsTail() {
 		// Release the landing VC and per-packet state. The stream
 		// counter is released by the network when the tail clears the
 		// first link — the bypass latch is live until then.
 		to.owner[v.outVC] = -1
-		v.routed = false
-		v.vaDone = false
 		v.bypassing = false
 		v.thruOK = false
-		v.blockedOnce = false
+		r.releaseRoute(key, v)
 	}
 	return true
 }
@@ -804,38 +891,29 @@ func (r *Router) allocBypassVC(p int, f *flit.Flit) (int, bool) {
 }
 
 // stepVA computes routes for newly-arrived heads (look-ahead RC costs no
-// extra stage) and allocates downstream VCs. VA is eligible one cycle
-// after head arrival (stage 2); the speculative 3-stage router differs
-// only in total pipeline depth (config.RouterCycles), modelling
-// always-successful speculation at low load — allocation conflicts add
-// their own cycles naturally.
+// extra stage) and allocates downstream VCs, visiting only the VA-pending
+// heads (pend). VA is eligible one cycle after head arrival (stage 2);
+// the speculative 3-stage router differs only in total pipeline depth
+// (config.RouterCycles), modelling always-successful speculation at low
+// load — allocation conflicts add their own cycles naturally.
 func (r *Router) stepVA(now int64) {
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		p, vi := key/r.numVCs, key%r.numVCs
-		v := r.in[p].vcs[vi]
+	for key := nextBit(r.pend, 0); key != -1; key = nextBit(r.pend, key+1) {
+		v := &r.vcs[key]
 		f := v.front()
-		if !f.Type.IsHead() {
-			continue // body/tail follow the established route
-		}
 		if !v.routed {
 			// Route computation (look-ahead: available on arrival). A
 			// routing error here means a corrupted destination — a
 			// programming error, surfaced as the typed *topo.RouteError.
-			v.outDir = topo.MustRoute(r.rf, r.ID, f.Dst())
-			v.routed = true
-			v.blockedOnce = false
-			v.thruOK = r.bypassOn && r.thruEligible(v.outDir, f)
-		}
-		if v.vaDone {
-			continue
+			r.setRoute(key, v, f)
 		}
 		if now-v.frontArrival() < 1 {
 			continue // VA is pipeline stage 2
 		}
 		op := r.out[v.outDir]
-		if got, ov := r.allocVC(op, f, p, vi); got {
+		if got, ov := r.allocVC(op, f, key); got {
 			v.vaDone = true
 			v.outVC = ov
+			clearBit(r.pend, key)
 			if r.bus != nil {
 				r.bus.Emit(obs.Event{Kind: obs.KindVCAlloc, Node: int32(r.ID),
 					Dir: int8(v.outDir), VC: int16(ov), Pkt: f.Packet.ID})
@@ -849,7 +927,7 @@ func (r *Router) stepVA(now int64) {
 func (r *Router) stepVARef(now int64) {
 	for p := 0; p < mesh.NumPorts; p++ {
 		for vi := 0; vi < r.numVCs; vi++ {
-			v := r.in[p].vcs[vi]
+			v := &r.in[p].vcs[vi]
 			if v.empty() {
 				continue
 			}
@@ -857,12 +935,10 @@ func (r *Router) stepVARef(now int64) {
 			if !f.Type.IsHead() {
 				continue // body/tail follow the established route
 			}
+			key := r.vcKey(p, vi)
 			if !v.routed {
 				// Route computation (look-ahead: available on arrival).
-				v.outDir = topo.MustRoute(r.rf, r.ID, f.Dst())
-				v.routed = true
-				v.blockedOnce = false
-				v.thruOK = r.bypassOn && r.thruEligible(v.outDir, f)
+				r.setRoute(key, v, f)
 			}
 			if v.vaDone {
 				continue
@@ -871,9 +947,10 @@ func (r *Router) stepVARef(now int64) {
 				continue // VA is pipeline stage 2
 			}
 			op := r.out[v.outDir]
-			if got, ov := r.allocVC(op, f, p, vi); got {
+			if got, ov := r.allocVC(op, f, key); got {
 				v.vaDone = true
 				v.outVC = ov
+				clearBit(r.pend, key)
 				if r.bus != nil {
 					r.bus.Emit(obs.Event{Kind: obs.KindVCAlloc, Node: int32(r.ID),
 						Dir: int8(v.outDir), VC: int16(ov), Pkt: f.Packet.ID})
@@ -884,16 +961,15 @@ func (r *Router) stepVARef(now int64) {
 }
 
 // allocVC tries to allocate a downstream VC at output port op for packet
-// head f arriving on (port, vcIdx). Data packets use data VCs; control
+// head f buffered in input VC key. Data packets use data VCs; control
 // packets prefer the control VC and fall back to data VCs. On fabrics
 // with wrap links (torus, ring) inter-router outputs are additionally
 // restricted to the packet's dateline VC class, which is what breaks
 // the ring's channel-dependency cycle (see topo.RoutingFunction.ClassFor);
 // ejection through the Local port is never class-restricted.
-func (r *Router) allocVC(op *OutputPort, f *flit.Flit, port, vcIdx int) (bool, int) {
+func (r *Router) allocVC(op *OutputPort, f *flit.Flit, key int) (bool, int) {
 	perVN := r.cfg.VCsPerVN()
 	base := int(f.Packet.VN) * perVN
-	key := r.vcKey(port, vcIdx)
 
 	tryRange := func(lo, hi int) (bool, int) {
 		for v := lo; v < hi; v++ {
@@ -946,7 +1022,7 @@ func (r *Router) WantsOutput(want *[mesh.NumPorts]bool) {
 	if r.cfg.FullTick {
 		for p := 0; p < mesh.NumPorts; p++ {
 			for vi := 0; vi < r.numVCs; vi++ {
-				v := r.in[p].vcs[vi]
+				v := &r.in[p].vcs[vi]
 				if !v.empty() && v.routed && !(r.bypassOn && r.wantSuppressed(v)) {
 					want[v.outDir] = true
 				}
@@ -954,10 +1030,12 @@ func (r *Router) WantsOutput(want *[mesh.NumPorts]bool) {
 		}
 		return
 	}
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-		if v.routed && !(r.bypassOn && r.wantSuppressed(v)) {
-			want[v.outDir] = true
+	for p := 0; p < mesh.NumPorts; p++ {
+		for key := r.nextReq(p, 0); key != -1; key = r.nextReq(p, key+1) {
+			if !(r.bypassOn && r.wantSuppressed(&r.vcs[key])) {
+				want[p] = true
+				break
+			}
 		}
 	}
 }
@@ -976,7 +1054,7 @@ func (r *Router) WantsOutputAtSA(want *[mesh.NumPorts]bool, now int64) {
 	if r.cfg.FullTick {
 		for p := 0; p < mesh.NumPorts; p++ {
 			for vi := 0; vi < r.numVCs; vi++ {
-				v := r.in[p].vcs[vi]
+				v := &r.in[p].vcs[vi]
 				if !v.empty() && v.routed && now-v.frontArrival() >= r.trouter {
 					want[v.outDir] = true
 				}
@@ -984,10 +1062,12 @@ func (r *Router) WantsOutputAtSA(want *[mesh.NumPorts]bool, now int64) {
 		}
 		return
 	}
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-		if v.routed && now-v.frontArrival() >= r.trouter {
-			want[v.outDir] = true
+	for p := 0; p < mesh.NumPorts; p++ {
+		for key := r.nextReq(p, 0); key != -1; key = r.nextReq(p, key+1) {
+			if now-r.vcs[key].frontArrival() >= r.trouter {
+				want[p] = true
+				break
+			}
 		}
 	}
 }
@@ -1014,17 +1094,46 @@ type VCView struct {
 	// out, not of the direct neighbor.
 	ThruOK    bool
 	Bypassing bool
+	// Scan-mask bits held for this VC's Key (see the Router's occ, pend
+	// and req masks); MaskFault checks them against the state above.
+	OccBit  bool
+	PendBit bool
+	ReqMask uint8 // bit p set while output p's request mask holds Key
+}
+
+// MaskFault reports how the view's scan-mask bits disagree with the VC
+// state they summarize, or "" when they agree: the occupancy bit is set
+// exactly while flits are buffered, a Routed VC sits in the request mask
+// of OutDir and of no other output (an unrouted VC in none), and the
+// VA-pending bit is set exactly while a head without VADone is at the
+// front.
+func (vv VCView) MaskFault() string {
+	if vv.OccBit != (vv.Occupancy > 0) {
+		return fmt.Sprintf("occupancy bit %v with %d flits buffered", vv.OccBit, vv.Occupancy)
+	}
+	var req uint8
+	if vv.Routed {
+		req = 1 << vv.OutDir
+	}
+	if vv.ReqMask != req {
+		return fmt.Sprintf("request masks %05b, want %05b (routed %v toward %v)", vv.ReqMask, req, vv.Routed, vv.OutDir)
+	}
+	if pend := vv.Front != nil && vv.Front.Type.IsHead() && !vv.VADone; vv.PendBit != pend {
+		return fmt.Sprintf("VA-pending bit %v, want %v", vv.PendBit, pend)
+	}
+	return ""
 }
 
 // ForEachVC invokes fn with a snapshot of every input VC of every port.
 func (r *Router) ForEachVC(now int64, fn func(VCView)) {
 	for p := 0; p < mesh.NumPorts; p++ {
 		for vi := 0; vi < r.numVCs; vi++ {
-			v := r.in[p].vcs[vi]
+			key := r.vcKey(p, vi)
+			v := &r.vcs[key]
 			view := VCView{
 				Port:      mesh.Direction(p),
 				Index:     vi,
-				Key:       r.vcKey(p, vi),
+				Key:       key,
 				Depth:     v.depth,
 				Occupancy: len(v.buf),
 				Routed:    v.routed,
@@ -1033,6 +1142,13 @@ func (r *Router) ForEachVC(now int64, fn func(VCView)) {
 				OutVC:     v.outVC,
 				ThruOK:    v.thruOK,
 				Bypassing: v.bypassing,
+				OccBit:    hasBit(r.occ, key),
+				PendBit:   hasBit(r.pend, key),
+			}
+			for o := range r.req {
+				if hasBit(r.req[o], key) {
+					view.ReqMask |= 1 << o
+				}
 			}
 			if len(v.buf) > 0 {
 				view.Front = v.buf[0]
@@ -1045,25 +1161,6 @@ func (r *Router) ForEachVC(now int64, fn func(VCView)) {
 
 // PipelineCycles returns Trouter, the per-hop pipeline depth in cycles.
 func (r *Router) PipelineCycles() int64 { return r.trouter }
-
-// ResidentHeads invokes fn for every packet whose head flit is currently
-// buffered in this router. Power Punch emits one punch per resident head
-// per cycle (level semantics: a stalled packet keeps punching).
-func (r *Router) ResidentHeads(fn func(p *flit.Packet)) {
-	if r.buffered == 0 {
-		return
-	}
-	for p := 0; p < mesh.NumPorts; p++ {
-		for vi := 0; vi < r.numVCs; vi++ {
-			v := r.in[p].vcs[vi]
-			for _, f := range v.buf {
-				if f.Type.IsHead() {
-					fn(f.Packet)
-				}
-			}
-		}
-	}
-}
 
 // EnableBypass turns on FlyOver-style bypass admission at this router.
 // energy, when non-nil, is charged once per bypass grant at this
@@ -1161,8 +1258,8 @@ type PunchEmitter interface {
 	EmitSource(cur, dst mesh.NodeID)
 }
 
-// EmitPunches emits one source punch per resident packet head, the
-// closure-free hot-path form of ResidentHeads + EmitSource (level
+// EmitPunches emits one source punch per packet whose head flit is
+// buffered in this router, queued heads behind a tail included (level
 // semantics: a stalled packet keeps punching every cycle).
 func (r *Router) EmitPunches(f PunchEmitter) {
 	if r.buffered == 0 {
@@ -1180,9 +1277,8 @@ func (r *Router) EmitPunches(f PunchEmitter) {
 		}
 		return
 	}
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-		for _, fl := range v.buf {
+	for key := nextBit(r.occ, 0); key != -1; key = nextBit(r.occ, key+1) {
+		for _, fl := range r.vcs[key].buf {
 			if fl.Type.IsHead() {
 				f.EmitSource(r.ID, fl.Packet.Dst)
 			}

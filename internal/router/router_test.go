@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"testing"
 
 	"powerpunch/internal/config"
@@ -348,29 +349,58 @@ func TestCanAcceptFlit(t *testing.T) {
 	}
 }
 
-func TestResidentHeadsEnumeratesAllHeadFlits(t *testing.T) {
-	cfg := testCfg()
-	r := newRouter(t, 5, &cfg)
-	p1 := mkPacket(1, 4, 7, 1)
-	p2 := mkPacket(2, 4, 11, 1)
-	r.ReceiveFlit(mesh.West, 0, flit.NewFlits(p1)[0], 0)
-	r.ReceiveFlit(mesh.West, 1, flit.NewFlits(p2)[0], 0)
-	var got []uint64
-	r.ResidentHeads(func(p *flit.Packet) { got = append(got, p.ID) })
-	if len(got) != 2 {
-		t.Fatalf("ResidentHeads found %d packets, want 2", len(got))
-	}
-	// Two queued packets in ONE VC both expose their heads.
-	r2 := newRouter(t, 5, &cfg)
-	q1 := mkPacket(3, 4, 7, 1)
-	q2 := mkPacket(4, 4, 11, 1)
-	r2.ReceiveFlit(mesh.West, 2, flit.NewFlits(q1)[0], 0)
-	// control VC depth is 1, use a data VC for queueing two heads
-	r2.ReceiveFlit(mesh.West, 0, flit.NewFlits(q2)[0], 0)
-	n := 0
-	r2.ResidentHeads(func(*flit.Packet) { n++ })
-	if n != 2 {
-		t.Errorf("queued heads: %d, want 2", n)
+// punchRecorder is a PunchEmitter fake that records every emission.
+type punchRecorder struct {
+	cur, dst []mesh.NodeID
+}
+
+func (pr *punchRecorder) EmitSource(cur, dst mesh.NodeID) {
+	pr.cur = append(pr.cur, cur)
+	pr.dst = append(pr.dst, dst)
+}
+
+func TestEmitPunchesEnumeratesAllHeadFlits(t *testing.T) {
+	for _, fullTick := range []bool{false, true} {
+		cfg := testCfg()
+		cfg.FullTick = fullTick
+		r := newRouter(t, 5, &cfg)
+		var none punchRecorder
+		r.EmitPunches(&none)
+		if len(none.dst) != 0 {
+			t.Fatalf("fullTick=%v: empty router emitted %d punches", fullTick, len(none.dst))
+		}
+
+		// One head in each of two VCs, plus a body flit that must not
+		// punch.
+		p1 := mkPacket(1, 4, 7, 1)
+		p2 := mkPacket(2, 4, 11, 3)
+		r.ReceiveFlit(mesh.West, 0, flit.NewFlits(p1)[0], 0)
+		fs2 := flit.NewFlits(p2)
+		r.ReceiveFlit(mesh.West, 1, fs2[0], 0)
+		r.ReceiveFlit(mesh.West, 1, fs2[1], 0)
+		var got punchRecorder
+		r.EmitPunches(&got)
+		if len(got.dst) != 2 || got.dst[0] != 7 || got.dst[1] != 11 {
+			t.Fatalf("fullTick=%v: punched toward %v, want [7 11]", fullTick, got.dst)
+		}
+		for _, c := range got.cur {
+			if c != r.ID {
+				t.Errorf("fullTick=%v: punch emitted from %d, want router %d", fullTick, c, r.ID)
+			}
+		}
+
+		// Two single-flit packets queued back to back in ONE data VC both
+		// expose their heads.
+		r2 := newRouter(t, 5, &cfg)
+		q1 := mkPacket(3, 4, 7, 1)
+		q2 := mkPacket(4, 4, 11, 1)
+		r2.ReceiveFlit(mesh.West, 0, flit.NewFlits(q1)[0], 0)
+		r2.ReceiveFlit(mesh.West, 0, flit.NewFlits(q2)[0], 0)
+		var queued punchRecorder
+		r2.EmitPunches(&queued)
+		if len(queued.dst) != 2 || queued.dst[0] != 7 || queued.dst[1] != 11 {
+			t.Errorf("fullTick=%v: queued heads punched toward %v, want [7 11]", fullTick, queued.dst)
+		}
 	}
 }
 
@@ -409,6 +439,58 @@ func TestSwitchAllocationIsRoundRobinFair(t *testing.T) {
 		frac := float64(w) / float64(total)
 		if frac > 0.8 {
 			t.Errorf("VC class %d monopolized the output (%.0f%%)", vc, frac*100)
+		}
+	}
+}
+
+// maskFaults counts the VCs whose views report a scan-mask fault.
+func maskFaults(r *Router) (n int, key int) {
+	key = -1
+	r.ForEachVC(0, func(vv VCView) {
+		if vv.MaskFault() != "" {
+			n++
+			key = vv.Key
+		}
+	})
+	return n, key
+}
+
+func TestMaskFaultCatchesEveryFlippedBit(t *testing.T) {
+	cfg := testCfg()
+	r := newRouter(t, 5, &cfg)
+	// Populate every mask: a routed, VC-allocated head (occ, req[East]),
+	// a head still waiting for VA behind a blocked allocation (occ, pend,
+	// req[North]), and a freshly arrived, unrouted head (occ, pend).
+	fs := flit.NewFlits(mkPacket(1, 4, 7, 3))
+	r.ReceiveFlit(mesh.West, 0, fs[0], 0)
+	r.ReceiveFlit(mesh.West, 0, fs[1], 0)
+	for v := 0; v < cfg.DataVCs; v++ {
+		r.Out(mesh.North).owner[v] = 99 // every request-VN data VC taken
+	}
+	r.ReceiveFlit(mesh.South, 0, flit.NewFlits(mkPacket(2, 9, 1, 3))[0], 0)
+	r.Step(1)
+	r.ReceiveFlit(mesh.East, 1, flit.NewFlits(mkPacket(3, 6, 4, 1))[0], 1)
+
+	if n, _ := maskFaults(r); n != 0 {
+		t.Fatalf("consistent router reports %d mask faults", n)
+	}
+	masks := map[string][]uint64{"occ": r.occ, "pend": r.pend}
+	for p := range r.req {
+		masks[fmt.Sprintf("req[%v]", mesh.Direction(p))] = r.req[p]
+	}
+	for _, name := range []string{"occ", "pend", "req[E]", "req[N]"} {
+		if masks[name][0] == 0 {
+			t.Fatalf("setup leaves %s empty", name)
+		}
+	}
+	for name, m := range masks {
+		for key := 0; key < len(r.vcs); key++ {
+			m[key>>6] ^= 1 << (key & 63)
+			n, got := maskFaults(r)
+			m[key>>6] ^= 1 << (key & 63)
+			if n != 1 || got != key {
+				t.Fatalf("flipping %s bit %d: %d faults (last at key %d), want exactly key %d", name, key, n, got, key)
+			}
 		}
 	}
 }
