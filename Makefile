@@ -94,18 +94,6 @@ apicheck: build
 		echo "apicheck: exported API drifted from API.txt (run 'make api' and commit if intended)"; \
 		exit 1; \
 	fi
-	@# Deprecation gate: the Scheme.Uses* predicates survive only for
-	@# external callers; internal packages must resolve the scheme.Policy
-	@# once (Scheme.Policy / Config capability fields) instead of
-	@# re-querying string-keyed predicates per call site.
-	@bad=$$(grep -rn '\.Uses\(EarlyWakeup\|IdleTimeoutFilter\|PowerGating\|Punch\|NISlack\)(' \
-		internal/ cmd/ *.go 2>/dev/null \
-		| grep -v '_test\.go' | grep -v '^internal/config/config\.go' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "apicheck: deprecated Scheme.Uses* predicate called outside internal/config/config.go:"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
 
 # Tier-2: everything above plus the benchmark regression gate.
 check: vet test race soak soak-obs soak-par soak-cmp soak-serve perfbench-test apicheck bench-check

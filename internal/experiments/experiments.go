@@ -155,7 +155,7 @@ type SchemeMetrics struct {
 	ExecTime    int64                   // cycles (Figure 8)
 	Blocked     float64                 // powered-off routers per packet (Figure 9)
 	WakeWait    float64                 // wakeup-wait cycles per packet (Figure 10)
-	Energy      power.Breakdown         // float-accumulated aggregate (the regression oracle)
+	Energy      power.Breakdown         // aggregate: the class sums of Components
 	Components  network.EnergyBreakdown // counter-derived per-component split (DSENT-style)
 	StaticSaved float64                 // fraction of No-PG static energy saved
 	AvgStaticW  float64                 // watts (Figure 12, lower row)

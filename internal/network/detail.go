@@ -69,11 +69,8 @@ func (c ComponentEnergy) Total() float64 { return c.Dynamic + c.Static + c.Overh
 // EnergyBreakdown is the versioned per-component energy decomposition
 // of a run (EnergyVersion), derived from the power accountant's
 // integer event counters — so it is bit-identical across the serial,
-// full-walk, and sharded parallel tick engines. Its class sums
-// reconcile with the float-accumulated aggregate RunResult.Energy
-// within summation tolerance (the aggregate stays the regression
-// oracle for the paper's numbers; a differential test in
-// internal/experiments enforces the reconciliation).
+// full-walk, and sharded parallel tick engines. Its class sums are the
+// aggregate RunResult.Energy exactly: both come from the same counters.
 type EnergyBreakdown struct {
 	Version  int             `json:"version"`
 	Buffer   ComponentEnergy `json:"buffer"`   // input buffers (write + read)

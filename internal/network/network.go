@@ -423,8 +423,8 @@ func (n *Network) stepFull() {
 // join at the flush points below, always before the first phase whose
 // full-walk behaviour for them would differ from a no-op; every phase
 // iterates the set in ascending node order, so the operation sequence —
-// including floating-point accumulation order — matches the full walk
-// with its no-op nodes deleted.
+// event and statistics order included — matches the full walk with its
+// no-op nodes deleted.
 func (n *Network) stepActive() {
 	now := n.now
 	s := n.sched

@@ -16,9 +16,8 @@ package network
 // active nodes k collapses to 1 and the coordinator runs everything
 // inline with no atomics, and with none it skips the section outright.
 //
-// The result is bit-identical to the serial engines — including
-// floating-point accumulation order, event order, and statistics
-// sample order — because
+// The result is bit-identical to the serial engines — including event
+// order and statistics sample order — because
 //
 //   - every mutation inside a worker section touches only state with a
 //     single writer (own routers/NIs, own scratch, the uniquely-paired
@@ -59,11 +58,8 @@ package network
 //     events and every punch-fabric call is deferred through the sink;
 //     the fabric itself steps on the coordinator after B, and nothing
 //     in B reads fabric state (controller inputs read Fabric.Hold in
-//     C). Float order per router is preserved because PunchHop charges
-//     only the Overhead accumulator while B's pipeline events charge
-//     only Dynamic, and the other Overhead writers (WakeupSignal,
-//     GatingEvent) run in C, after the fabric replay — per-field
-//     accumulation order is exactly serial.
+//     C). Energy charges are integer counter bumps into the owner's
+//     lane, so where B and C charge them cannot change any total.
 //   - Want levels fuse into B because WantsOutput reads only the own
 //     router's post-pipeline state (serial computes it after all of
 //     phases 4-6; per-node state is the same either way) and
@@ -679,7 +675,7 @@ func (w *parWorker) secDeliver(now int64) {
 // output pipes, and the punch fabric are all frozen for the whole
 // section, so every cross-node read is race-free; nothing here reads
 // fabric state, which is what lets the fabric step move after the
-// section (see the file comment for the float-order argument).
+// section (see the file comment).
 func (w *parWorker) secMain(now int64) {
 	n := w.eng.n
 	for i := w.first(); i != -1; i = w.after(i) {
@@ -1145,8 +1141,8 @@ func (e *parEngine) step() {
 	// Phase 3's fabric half, on the real fabric in serial order. B
 	// generated this cycle's ops but read no fabric state, and the
 	// holds the step produces are first read in section C — so the
-	// fabric floats here without reordering any per-router, per-field
-	// accumulation (see the file comment).
+	// fabric floats here without reordering any event or statistics
+	// sample (see the file comment).
 	if n.Fabric != nil {
 		e.replayPunchOps()
 		if s == nil {

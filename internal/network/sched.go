@@ -38,11 +38,11 @@ import (
 //
 // Skipped nodes are therefore never unaccounted: catch-up replays the
 // identical per-cycle operations — controller Step with idle inputs,
-// then the static-power tick, including per-cycle floating-point adds —
-// so active-set runs are bit-identical to Config.FullTick full-walk
-// runs; the golden-metrics tests assert it. Once the replayed FSM
-// parks (disabled or Gated, both fixed points), the remaining cycles
-// collapse into the batched AdvanceIdleGated fast path.
+// then the static-power tick — so active-set runs are bit-identical to
+// Config.FullTick full-walk runs; the golden-metrics tests assert it.
+// Once the replayed FSM parks (disabled or Gated, both fixed points),
+// the remaining cycles collapse into one O(1) AdvanceIdleGated +
+// TickStaticN pair: both only add the cycle count to integer counters.
 type scheduler struct {
 	n *Network
 
@@ -150,8 +150,9 @@ func (s *scheduler) flush(now int64) {
 // FSM is still evolving (Active/Draining counting idle, Waking counting
 // down, a throttled controller draining its back-off window); once it
 // parks — disabled or Gated, both fixed points — the rest of the window
-// collapses into one batched AdvanceIdleGated + TickStaticN call whose
-// result is bit-identical to the per-cycle loop. Safe only while the
+// collapses into one batched AdvanceIdleGated + TickStaticN call, O(1)
+// in the window length and bit-identical to the per-cycle loop (both
+// add the cycle count to integer counters). Safe only while the
 // node is quiescent: its idle inputs are guaranteed because every
 // wakeup source (flit push, punch hold, WU want, injection) re-arms the
 // node before the level becomes readable.

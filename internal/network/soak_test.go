@@ -9,6 +9,7 @@ import (
 	"powerpunch/internal/flit"
 	"powerpunch/internal/mesh"
 	"powerpunch/internal/obs"
+	"powerpunch/internal/power"
 )
 
 // TestSoakLongRun exercises 60k cycles of mixed traffic on an 8x8 mesh
@@ -229,8 +230,9 @@ func TestSoakParallel(t *testing.T) {
 // every cycle and a timeline sampler differencing the accountant at
 // window boundaries — full data-race coverage of the counter lanes,
 // the lane fold, and the fold-before-EndCycle ordering. At the end the
-// component view must reconcile with the float aggregate and the
-// sampler must have produced live power columns.
+// aggregate RunResult.Energy must equal the class sums of the
+// per-component Detail.Energy exactly, and the sampler must have
+// produced live power columns.
 func TestSoakParallelEnergy(t *testing.T) {
 	fabrics := []struct {
 		topo          string
@@ -268,25 +270,20 @@ func TestSoakParallelEnergy(t *testing.T) {
 					t.Fatal("energy soak did not quiesce")
 				}
 
-				agg := n.Acct.Network()
-				comps := n.Acct.Components()
-				cls := comps.Classes()
-				const tol = 1e-9
-				for _, c := range []struct {
-					name     string
-					got, ref float64
-				}{
-					{"dynamic", cls.Dynamic, agg.Dynamic},
-					{"static", cls.Static, agg.Static},
-					{"overhead", cls.Overhead, agg.Overhead},
-				} {
-					d := c.got - c.ref
-					if d < 0 {
-						d = -d
-					}
-					if m := max(abs(c.got), abs(c.ref)); m > 0 && d/m > tol {
-						t.Errorf("%s: components %.12e vs aggregate %.12e", c.name, c.got, c.ref)
-					}
+				res := n.result(true)
+				var sums power.Breakdown
+				for c := power.Component(0); c < power.NumComponents; c++ {
+					ce := res.Detail.Energy.Component(c)
+					sums.Add(power.Breakdown{Dynamic: ce.Dynamic, Static: ce.Static, Overhead: ce.Overhead})
+				}
+				if sums != res.Energy {
+					t.Errorf("component class sums %+v != aggregate %+v", sums, res.Energy)
+				}
+				if res.Detail.Energy.Version != 1 {
+					t.Errorf("energy breakdown version = %d, want 1", res.Detail.Energy.Version)
+				}
+				if res.Energy.Total() == 0 || res.Detail.Energy.Total() == 0 {
+					t.Errorf("empty energy: aggregate %.3e, components %.3e", res.Energy.Total(), res.Detail.Energy.Total())
 				}
 				livePower := false
 				for _, sm := range sampler.Samples() {
@@ -302,13 +299,6 @@ func TestSoakParallelEnergy(t *testing.T) {
 			})
 		}
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // TestSoakWithChecks is the tier-2 gate variant (Makefile `check`,

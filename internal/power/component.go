@@ -2,10 +2,9 @@ package power
 
 // Component identifies one energy-bearing router subsystem in the
 // DSENT-style per-component decomposition. Every joule the Accountant
-// charges is attributable to exactly one component; the per-component
-// totals reconcile with the aggregate Breakdown classes within float
-// tolerance (the aggregate model is retained as the regression oracle
-// for the paper's numbers — see ComponentBreakdown.Classes).
+// charges is attributable to exactly one component, and the aggregate
+// three-class Breakdown is the components' class sums (see
+// ComponentBreakdown.Classes).
 type Component int
 
 // The modelled components. The first four (buffers, crossbar,
@@ -68,12 +67,10 @@ func ComponentNames() []string {
 // and sharded parallel engines by construction.
 type ComponentBreakdown [NumComponents]Breakdown
 
-// Classes sums the components into the aggregate three-class Breakdown
-// (dynamic / static / overhead). The result reconciles with the
-// float-accumulated aggregate oracle within rounding tolerance: the
-// oracle accumulates per event in simulation order, Classes multiplies
-// folded counters once, so the two differ only by float summation
-// error (the differential test in internal/experiments bounds it).
+// Classes sums the components, in enum order, into the aggregate
+// three-class Breakdown (dynamic / static / overhead). It is the only
+// aggregation: Accountant.Network and RunResult.Energy are this sum,
+// so the aggregate and the per-component view agree exactly.
 func (b *ComponentBreakdown) Classes() Breakdown {
 	var t Breakdown
 	for i := range b {

@@ -5,18 +5,13 @@
 // crossbar traversal, link traversal), static energy per cycle per
 // powered-on router, and power-gating overhead per sleep/wake transition.
 //
-// The model keeps two reconciled views of the same charges:
-//
-//   - The aggregate Breakdown (dynamic / static / overhead) is
-//     accumulated per event in per-router float accumulators, in
-//     simulation order — the original model, retained as the regression
-//     oracle for the paper's aggregate numbers (the seed-locked golden
-//     suite pins it).
-//   - The per-component ComponentBreakdown (buffers, crossbar,
-//     allocators, clock tree, links, punch channel, WU handshake, gate
-//     overhead) is derived on demand from the integer event counters.
-//     Integer sums are order-insensitive, so this view is bit-identical
-//     across the serial, full-walk, and sharded parallel engines.
+// The model has one energy state: integer event counters, one per
+// event kind. Every charge method only bumps a counter; energies are
+// derived at read time by multiplying the counts with the calibration
+// (Components, and Network as its class sums), the way DSENT-style
+// models compute power from activity counts. Integer sums are
+// order-insensitive, so every reported joule is bit-identical across
+// the serial, full-walk, and sharded parallel engines by construction.
 //
 // The constants are calibrated so that, at PARSEC-like loads on the
 // paper's minimal 8x8 configuration, static power is ~64% of total router
@@ -59,8 +54,7 @@ type Constants struct {
 	// StaticFracBuffer..StaticFracClock apportion PStaticRouter across
 	// the leaking components (input buffers, crossbar, allocators, clock
 	// tree) for the per-component view. They must sum to 1 so the
-	// component static energies reconcile with the aggregate oracle; the
-	// apportionment itself never changes any aggregate number.
+	// component static energies add up to the router's whole leakage.
 	StaticFracBuffer   float64
 	StaticFracCrossbar float64
 	StaticFracAlloc    float64
@@ -212,20 +206,18 @@ type counterLane struct {
 // Accountant accumulates energy for a network of routers. It is not
 // concurrency-safe in general; the simulator drives it from the single
 // cycle loop. The exception is the sharded parallel tick engine: after
-// SetLanes, the integer event counters are written to per-worker lanes
-// (each router's events always come from the worker that owns it, per
-// laneOf), the per-router float accumulators stay owner-exclusive by
-// construction, and the coordinator calls FoldLanes between cycles.
+// SetLanes, the event counters are written to per-worker lanes (each
+// router's events always come from the worker that owns it, per
+// laneOf), and the coordinator calls FoldLanes between cycles.
 type Accountant struct {
 	C       Constants
 	enabled bool
 
-	perRouter []Breakdown
-	cycles    int64 // enabled cycles accumulated
+	routers int   // network size, for the No-PG baseline
+	cycles  int64 // enabled cycles accumulated
 
-	// Folded event counters (for reporting, the per-component view, and
-	// tests). With lanes installed these are only current after
-	// FoldLanes.
+	// Folded event counters, the accountant's only energy state. With
+	// lanes installed these are only current after FoldLanes.
 	counts eventCounters
 
 	lanes  []counterLane
@@ -236,7 +228,7 @@ type Accountant struct {
 // Accounting starts disabled (warmup); call SetEnabled(true) at the start
 // of the measurement window.
 func NewAccountant(n int, c Constants) *Accountant {
-	return &Accountant{C: c, perRouter: make([]Breakdown, n)}
+	return &Accountant{C: c, routers: n}
 }
 
 // SetEnabled turns accounting on or off (off during warmup and drain of
@@ -287,56 +279,23 @@ func (a *Accountant) Count(ev Event) int64 { return a.counts[ev] }
 
 // TickStatic charges one cycle of leakage for router r in state s, and
 // must be called exactly once per router per cycle. Powered-on (and
-// waking) routers additionally draw the clock tree's dynamic energy
-// when the calibration models it.
+// waking) routers also draw the clock tree's dynamic energy (EvOnCycle
+// carries both).
 func (a *Accountant) TickStatic(r int, s RouterState) {
-	if !a.enabled {
-		return
-	}
-	switch s {
-	case Gated:
-		a.counters(r)[EvGatedCycle]++
-		if a.C.GatedLeakFrac > 0 {
-			a.perRouter[r].Static += a.C.GatedLeakFrac * a.C.EStaticCycle()
-		}
-	default:
-		a.counters(r)[EvOnCycle]++
-		a.perRouter[r].Static += a.C.EStaticCycle()
-		if a.C.EClockCycle != 0 {
-			a.perRouter[r].Dynamic += a.C.EClockCycle
-		}
-	}
+	a.TickStaticN(r, s, 1)
 }
 
 // TickStaticN charges n cycles of leakage for router r in state s, as if
 // TickStatic had been called n times. The active-set scheduler uses it to
-// catch a skipped (parked) router up; the per-router float accumulators
-// are advanced by n individual additions so the result stays
-// bit-identical to the per-cycle full-walk path.
+// catch a skipped (parked) router up in O(1).
 func (a *Accountant) TickStaticN(r int, s RouterState, n int64) {
 	if !a.enabled || n <= 0 {
 		return
 	}
-	switch s {
-	case Gated:
+	if s == Gated {
 		a.counters(r)[EvGatedCycle] += n
-		if a.C.GatedLeakFrac > 0 {
-			e := a.C.GatedLeakFrac * a.C.EStaticCycle()
-			for i := int64(0); i < n; i++ {
-				a.perRouter[r].Static += e
-			}
-		}
-	default:
+	} else {
 		a.counters(r)[EvOnCycle] += n
-		e := a.C.EStaticCycle()
-		for i := int64(0); i < n; i++ {
-			a.perRouter[r].Static += e
-		}
-		if a.C.EClockCycle != 0 {
-			for i := int64(0); i < n; i++ {
-				a.perRouter[r].Dynamic += a.C.EClockCycle
-			}
-		}
 	}
 }
 
@@ -353,13 +312,7 @@ func (a *Accountant) Cycles() int64 { return a.cycles }
 
 // BufferWrite charges a flit buffer write at router r (component:
 // input buffers).
-func (a *Accountant) BufferWrite(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvBufferWrite]++
-	a.perRouter[r].Dynamic += a.C.EBufferWrite
-}
+func (a *Accountant) BufferWrite(r int) { a.count(r, EvBufferWrite) }
 
 // Traverse charges a flit's buffer read, arbitration, and crossbar
 // traversal at router r — the switch-traversal event, spanning the
@@ -372,61 +325,38 @@ func (a *Accountant) Traverse(r int) {
 	c[EvBufferRead]++
 	c[EvArbitration]++
 	c[EvCrossbar]++
-	a.perRouter[r].Dynamic += a.C.EBufferRead + a.C.EArbitration + a.C.ECrossbar
 }
 
 // LinkHop charges a flit's traversal of one inter-router link, attributed
 // to the sending router r (component: links).
-func (a *Accountant) LinkHop(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvLink]++
-	a.perRouter[r].Dynamic += a.C.ELink
-}
+func (a *Accountant) LinkHop(r int) { a.count(r, EvLink) }
 
 // PunchHop charges one cycle of punch-channel assertion leaving router r
 // (component: punch channel; overhead class).
-func (a *Accountant) PunchHop(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvPunchHop]++
-	a.perRouter[r].Overhead += a.C.EPunchHop
-}
+func (a *Accountant) PunchHop(r int) { a.count(r, EvPunchHop) }
 
 // WakeupSignal charges one WU/PG handshake assertion at router r
 // (component: wakeup signalling; overhead class).
-func (a *Accountant) WakeupSignal(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvWakeupSig]++
-	a.perRouter[r].Overhead += a.C.EWakeupSignal
-}
+func (a *Accountant) WakeupSignal(r int) { a.count(r, EvWakeupSig) }
 
 // GatingEvent charges the sleep/wake round-trip overhead of one
 // power-gating event at router r (charged when the router begins
 // waking; component: gate).
-func (a *Accountant) GatingEvent(r int) {
-	if !a.enabled {
-		return
+func (a *Accountant) GatingEvent(r int) { a.count(r, EvGating) }
+
+// count records one occurrence of ev at router r.
+func (a *Accountant) count(r int, ev Event) {
+	if a.enabled {
+		a.counters(r)[ev]++
 	}
-	a.counters(r)[EvGating]++
-	a.perRouter[r].Overhead += a.C.EGatingOverhead()
 }
 
-// Router returns router r's accumulated aggregate breakdown.
-func (a *Accountant) Router(r int) Breakdown { return a.perRouter[r] }
-
-// Network returns the network-wide aggregate breakdown (the float
-// oracle, accumulated in simulation order).
+// Network returns the network-wide aggregate breakdown: the class sums
+// of Components. With lanes installed it is current only after
+// FoldLanes.
 func (a *Accountant) Network() Breakdown {
-	var total Breakdown
-	for i := range a.perRouter {
-		total.Add(a.perRouter[i])
-	}
-	return total
+	b := a.Components()
+	return b.Classes()
 }
 
 // Components returns the network-wide per-component breakdown, derived
@@ -479,7 +409,7 @@ func (a *Accountant) StaticSavedFrac() float64 {
 	if a.cycles == 0 {
 		return 0
 	}
-	baseline := float64(len(a.perRouter)) * float64(a.cycles) * a.C.EStaticCycle()
+	baseline := float64(a.routers) * float64(a.cycles) * a.C.EStaticCycle()
 	if baseline == 0 {
 		return 0
 	}

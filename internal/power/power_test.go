@@ -20,16 +20,15 @@ func TestGatingForBreakEvenCyclesIsEnergyNeutral(t *testing.T) {
 
 	// Router A: stays on for BET cycles. Router B: gated for BET cycles,
 	// then charged one gating event. Net static+overhead must be equal.
-	a := NewAccountant(2, c)
+	a, b := NewAccountant(1, c), NewAccountant(1, c)
 	a.SetEnabled(true)
+	b.SetEnabled(true)
 	for i := 0; i < c.BreakEvenCycles; i++ {
 		a.TickStatic(0, On)
-		a.TickStatic(1, Gated)
-		a.TickCycle()
+		b.TickStatic(0, Gated)
 	}
-	a.GatingEvent(1)
-	eA := a.Router(0)
-	eB := a.Router(1)
+	b.GatingEvent(0)
+	eA, eB := a.Network(), b.Network()
 	if math.Abs((eA.Static+eA.Overhead)-(eB.Static+eB.Overhead)) > 1e-18 {
 		t.Errorf("break-even violated: on=%g gated=%g", eA.Static+eA.Overhead, eB.Static+eB.Overhead)
 	}
@@ -38,10 +37,12 @@ func TestGatingForBreakEvenCyclesIsEnergyNeutral(t *testing.T) {
 func TestDisabledAccountantChargesNothing(t *testing.T) {
 	a := NewAccountant(1, DefaultConstants())
 	a.TickStatic(0, On)
+	a.TickStaticN(0, Gated, 5)
 	a.BufferWrite(0)
 	a.Traverse(0)
 	a.LinkHop(0)
 	a.PunchHop(0)
+	a.WakeupSignal(0)
 	a.GatingEvent(0)
 	a.TickCycle()
 	if tot := a.Network().Total(); tot != 0 {
@@ -60,7 +61,7 @@ func TestEventEnergies(t *testing.T) {
 	a.Traverse(0)
 	a.LinkHop(0)
 	want := c.EBufferWrite + c.EBufferRead + c.EArbitration + c.ECrossbar + c.ELink
-	if got := a.Router(0).Dynamic; math.Abs(got-want) > 1e-18 {
+	if got := a.Network().Dynamic; math.Abs(got-want) > 1e-18 {
 		t.Errorf("dynamic = %g, want %g", got, want)
 	}
 	if a.Count(EvBufferWrite) != 1 || a.Count(EvBufferRead) != 1 ||
@@ -70,11 +71,12 @@ func TestEventEnergies(t *testing.T) {
 }
 
 func TestWakingLeaksLikeOn(t *testing.T) {
-	a := NewAccountant(2, DefaultConstants())
-	a.SetEnabled(true)
-	a.TickStatic(0, On)
-	a.TickStatic(1, WakingUp)
-	if a.Router(0).Static != a.Router(1).Static {
+	on, waking := NewAccountant(1, DefaultConstants()), NewAccountant(1, DefaultConstants())
+	on.SetEnabled(true)
+	waking.SetEnabled(true)
+	on.TickStatic(0, On)
+	waking.TickStatic(0, WakingUp)
+	if on.Network() != waking.Network() {
 		t.Error("a waking router must leak like a powered-on one")
 	}
 }
@@ -86,8 +88,45 @@ func TestGatedLeakFraction(t *testing.T) {
 	a.SetEnabled(true)
 	a.TickStatic(0, Gated)
 	want := 0.1 * c.EStaticCycle()
-	if got := a.Router(0).Static; math.Abs(got-want) > 1e-20 {
+	if got := a.Network().Static; math.Abs(got-want) > 1e-20 {
 		t.Errorf("gated leak = %g, want %g", got, want)
+	}
+}
+
+// TestTickStaticNMatchesPerCycleRule pins the scheduler's catch-up
+// charge: n cycles in one call count exactly what n TickStatic calls
+// would. The 1<<40 case finishes only because the call does no per-cycle
+// work.
+func TestTickStaticNMatchesPerCycleRule(t *testing.T) {
+	for _, s := range []RouterState{On, Gated, WakingUp} {
+		stateEv := EvOnCycle
+		if s == Gated {
+			stateEv = EvGatedCycle
+		}
+
+		perCycle, batched := NewAccountant(1, DefaultConstants()), NewAccountant(1, DefaultConstants())
+		perCycle.SetEnabled(true)
+		batched.SetEnabled(true)
+		for i := 0; i < 7; i++ {
+			perCycle.TickStatic(0, s)
+		}
+		batched.TickStaticN(0, s, 7)
+		if perCycle.Components() != batched.Components() {
+			t.Errorf("state %d: TickStaticN(7) != 7 x TickStatic", s)
+		}
+
+		const n = int64(1) << 40
+		batched.TickStaticN(0, s, n)
+		batched.TickStaticN(0, s, 0)
+		batched.TickStaticN(0, s, -3)
+		if got := batched.Count(stateEv); got != n+7 {
+			t.Errorf("state %d: count %d, want %d", s, got, n+7)
+		}
+		for ev := Event(0); ev < numEvents; ev++ {
+			if ev != stateEv && batched.Count(ev) != 0 {
+				t.Errorf("state %d: event %d counted %d, want 0", s, ev, batched.Count(ev))
+			}
+		}
 	}
 }
 
@@ -166,7 +205,7 @@ func TestPresetRegistry(t *testing.T) {
 			t.Errorf("preset %q has degenerate constants: %+v", n, c)
 		}
 		// The static apportionment must sum to 1 so the per-component
-		// static energies reconcile with the aggregate oracle.
+		// static energies add up to the router's whole leakage.
 		sum := c.StaticFracBuffer + c.StaticFracCrossbar + c.StaticFracAlloc + c.StaticFracClock
 		if math.Abs(sum-1) > 1e-12 {
 			t.Errorf("preset %q static fractions sum to %g, want 1", n, sum)
@@ -204,9 +243,12 @@ func TestComponentNames(t *testing.T) {
 }
 
 // chargeScript drives a fixed mixed workload against an accountant:
-// every event kind on a spread of routers, so both views accumulate
-// nontrivial values in every class.
-func chargeScript(a *Accountant, routers int) {
+// every event kind on a spread of routers, so every class accumulates
+// a nontrivial value. It returns the same charges summed per event in
+// float, the per-event model the counter-derived view must reproduce.
+func chargeScript(a *Accountant, routers int) Breakdown {
+	c := a.C
+	var want Breakdown
 	a.SetEnabled(true)
 	for cyc := 0; cyc < 200; cyc++ {
 		for r := 0; r < routers; r++ {
@@ -215,40 +257,55 @@ func chargeScript(a *Accountant, routers int) {
 				st = Gated
 			}
 			a.TickStatic(r, st)
+			if st == Gated {
+				want.Static += c.GatedLeakFrac * c.EStaticCycle()
+			} else {
+				want.Static += c.EStaticCycle()
+				want.Dynamic += c.EClockCycle
+			}
 			if (r+cyc)%2 == 0 {
 				a.BufferWrite(r)
+				want.Dynamic += c.EBufferWrite
 			}
 			if (r+cyc)%4 == 0 {
 				a.Traverse(r)
 				a.LinkHop(r)
+				want.Dynamic += c.EBufferRead + c.EArbitration + c.ECrossbar + c.ELink
 			}
 			if (r+cyc)%7 == 0 {
 				a.PunchHop(r)
+				want.Overhead += c.EPunchHop
 			}
 			if (r+cyc)%11 == 0 {
 				a.WakeupSignal(r)
+				want.Overhead += c.EWakeupSignal
 			}
 			if (r+cyc)%13 == 0 {
 				a.GatingEvent(r)
+				want.Overhead += c.EGatingOverhead()
 			}
 		}
 		a.TickCycle()
 	}
+	return want
 }
 
-// TestComponentsReconcileWithAggregate is the unit-level form of the
-// aggregate-oracle differential: the per-component class sums must
-// match the float-accumulated aggregate within summation tolerance,
-// for every preset (including ones with clock dynamic energy and
-// residual gated leak).
+// TestComponentsReconcileWithAggregate checks the counter-derived
+// energies against the per-event float sum of the same charges: the
+// per-component class sums (and Network, which is them) must match it
+// within summation tolerance, for every preset (including ones with
+// clock dynamic energy and residual gated leak).
 func TestComponentsReconcileWithAggregate(t *testing.T) {
 	for _, name := range Presets() {
 		c, _ := PresetByName(name)
 		t.Run(name, func(t *testing.T) {
 			a := NewAccountant(16, c)
-			chargeScript(a, 16)
+			want := chargeScript(a, 16)
 			comp := a.Components()
-			got, want := comp.Classes(), a.Network()
+			got := comp.Classes()
+			if a.Network() != got {
+				t.Errorf("Network() = %+v, component class sums %+v", a.Network(), got)
+			}
 			for _, pair := range []struct {
 				label     string
 				got, want float64
@@ -259,7 +316,7 @@ func TestComponentsReconcileWithAggregate(t *testing.T) {
 				{"total", comp.Total(), want.Total()},
 			} {
 				if relDiff(pair.got, pair.want) > 1e-9 {
-					t.Errorf("%s: components=%g aggregate=%g", pair.label, pair.got, pair.want)
+					t.Errorf("%s: components=%g per-event sum=%g", pair.label, pair.got, pair.want)
 				}
 			}
 		})

@@ -67,12 +67,13 @@ type Accountant interface {
 
 // BypassEnergy is implemented by bypass policies that charge the
 // detour's extra energy. The router invokes it at the granting
-// (upstream) router when a flit is sent onto a bypass path — the
-// charge lands on the sender so the float accumulation order is
-// identical across the serial, full-walk, and parallel engines.
+// (upstream) router when a flit is sent onto a bypass path. The charge
+// must land on the sender: on the parallel engine the sender's worker
+// owns the sender's energy counter lane, and the gated router may
+// belong to another worker.
 type BypassEnergy interface {
 	// AttributeBypass charges the energy of one bypass hop (the latch
-	// path through the gated router) against sender's accumulators.
+	// path through the gated router) against sender's counters.
 	AttributeBypass(a Accountant, sender int)
 }
 

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"powerpunch/internal/mesh"
-	"powerpunch/internal/routing"
-)
+import "powerpunch/internal/mesh"
 
 // meshTopo adapts the concrete *mesh.Mesh to the Topology interface.
 // It is the paper's fabric: everything the rest of the simulator used
@@ -14,16 +11,6 @@ type meshTopo struct {
 
 // FromMesh wraps an existing mesh as a Topology.
 func FromMesh(m *mesh.Mesh) Topology { return &meshTopo{m: m} }
-
-// Mesh unwraps a Topology back to its underlying *mesh.Mesh, or nil if
-// the topology is not a mesh. Legacy call sites that still speak
-// *mesh.Mesh (the core encoder's compatibility wrappers) use this.
-func Mesh(t Topology) *mesh.Mesh {
-	if mt, ok := t.(*meshTopo); ok {
-		return mt.m
-	}
-	return nil
-}
 
 func (t *meshTopo) Kind() Kind                        { return KindMesh }
 func (t *meshTopo) Width() int                        { return t.m.Width() }
@@ -44,9 +31,12 @@ func (t *meshTopo) NodesWithin(id mesh.NodeID, k int) []mesh.NodeID {
 func (t *meshTopo) Corners() []mesh.NodeID { return t.m.Corners() }
 func (t *meshTopo) String() string         { return t.m.String() }
 
-// xyRouting adapts package routing's XY dimension-order routing to the
-// RoutingFunction interface. A mesh has no cyclic channel dependencies,
-// so a single VC class suffices.
+// xyRouting is dimension-order (XY) routing on the mesh: a packet
+// travels along X until it reaches the destination's column, then along
+// Y. X-to-Y turns are legal and Y-to-X turns are not, which makes the
+// routing deadlock-free and lets the punch encoder prune impossible
+// signal combinations (paper Section 4.1, step 3). A mesh has no cyclic
+// channel dependencies, so a single VC class suffices.
 type xyRouting struct {
 	t *meshTopo
 }
@@ -57,7 +47,7 @@ func (r *xyRouting) Route(cur, dst mesh.NodeID) (mesh.Direction, error) {
 	if !r.t.Contains(cur) || !r.t.Contains(dst) {
 		return mesh.Local, routeError(r.t, cur, dst, "node outside the fabric")
 	}
-	return routing.XY(r.t.m, cur, dst), nil
+	return xy(r.t.m, cur, dst), nil
 }
 
 func (r *xyRouting) NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error) {
@@ -77,7 +67,40 @@ func (r *xyRouting) NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error) {
 	return n, nil
 }
 
-func (r *xyRouting) LegalTurn(in, out mesh.Direction) bool               { return routing.LegalTurn(in, out) }
+func (r *xyRouting) LegalTurn(in, out mesh.Direction) bool               { return legalTurn(in, out) }
 func (r *xyRouting) VCClasses() int                                      { return 1 }
 func (r *xyRouting) ClassFor(cur, dst mesh.NodeID, d mesh.Direction) int { return 0 }
 func (r *xyRouting) String() string                                      { return "XY" }
+
+// xy computes the output direction at router cur for a packet destined
+// to dst under dimension-order routing. It returns mesh.Local when
+// cur == dst.
+func xy(m *mesh.Mesh, cur, dst mesh.NodeID) mesh.Direction {
+	cc, dc := m.CoordOf(cur), m.CoordOf(dst)
+	switch {
+	case dc.X > cc.X:
+		return mesh.East
+	case dc.X < cc.X:
+		return mesh.West
+	case dc.Y > cc.Y:
+		return mesh.South
+	case dc.Y < cc.Y:
+		return mesh.North
+	default:
+		return mesh.Local
+	}
+}
+
+// legalTurn reports whether a packet travelling in direction in may
+// depart in direction out under XY routing. Continuing straight and
+// X-to-Y turns are legal; Y-to-X turns and reversals are not. Injection
+// (in == Local) and ejection (out == Local) are always legal.
+func legalTurn(in, out mesh.Direction) bool {
+	if in == mesh.Local || out == mesh.Local {
+		return true
+	}
+	if in.IsY() && out.IsX() {
+		return false
+	}
+	return out != in.Opposite()
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"powerpunch/internal/mesh"
-	"powerpunch/internal/routing"
 )
 
 func mustBuild(t *testing.T, name string, w, h int) RoutingFunction {
@@ -45,9 +44,6 @@ func TestMeshAdapterMatchesMesh(t *testing.T) {
 	if tp.Kind() != KindMesh || tp.NumNodes() != 12 || tp.Diameter() != 5 {
 		t.Fatalf("adapter basics wrong: kind=%v nodes=%d diam=%d", tp.Kind(), tp.NumNodes(), tp.Diameter())
 	}
-	if Mesh(tp) != m {
-		t.Fatal("Mesh() did not unwrap the adapter")
-	}
 	for id := mesh.NodeID(0); m.Contains(id); id++ {
 		if tp.CoordOf(id) != m.CoordOf(id) {
 			t.Fatalf("CoordOf(%d) mismatch", id)
@@ -68,10 +64,42 @@ func TestMeshAdapterMatchesMesh(t *testing.T) {
 	}
 }
 
+// TestXYDirections pins the mesh RoutingFunction's XY decisions on the
+// paper's 8x8 mesh: X resolves before Y, Local at the destination, and
+// NextHop is the neighbour in the routed direction. Golden/bench
+// bit-identity on the mesh depends on this.
+func TestXYDirections(t *testing.T) {
+	rf := mustBuild(t, "mesh", 8, 8)
+	for _, c := range []struct {
+		cur, dst mesh.NodeID
+		want     mesh.Direction
+		next     mesh.NodeID
+	}{
+		{27, 31, mesh.East, 28},  // same row, east
+		{27, 24, mesh.West, 26},  // same row, west
+		{27, 3, mesh.North, 19},  // same column, north
+		{27, 59, mesh.South, 35}, // same column, south
+		{27, 36, mesh.East, 28},  // X resolves before Y
+		{27, 20, mesh.East, 28},
+		{27, 27, mesh.Local, 27},
+	} {
+		got, err := rf.Route(c.cur, c.dst)
+		if err != nil || got != c.want {
+			t.Errorf("Route(%d, %d) = %v, %v; want %v", c.cur, c.dst, got, err, c.want)
+		}
+		if nh, err := rf.NextHop(c.cur, c.dst); err != nil || nh != c.next {
+			t.Errorf("NextHop(%d, %d) = %d, %v; want %d", c.cur, c.dst, nh, err, c.next)
+		}
+	}
+	if rf.VCClasses() != 1 {
+		t.Fatalf("mesh needs no dateline classes, got %d", rf.VCClasses())
+	}
+}
+
 // TestXYRoutingMatchesRoutingPackage pins that the mesh RoutingFunction
-// is exactly package routing's XY: same direction at every (cur, dst)
-// pair, same legal turns. Golden/bench bit-identity on the mesh depends
-// on this.
+// is exactly the package's dimension-order routing (xy, legalTurn) at
+// every (cur, dst) pair, and that each step is minimal and resolves X
+// before Y. Golden/bench bit-identity on the mesh depends on this.
 func TestXYRoutingMatchesRoutingPackage(t *testing.T) {
 	m := mesh.New(5, 4)
 	rf := mustBuild(t, "mesh", 5, 4)
@@ -81,22 +109,34 @@ func TestXYRoutingMatchesRoutingPackage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Route(%d, %d): %v", cur, dst, err)
 			}
-			if want := routing.XY(m, cur, dst); got != want {
-				t.Fatalf("Route(%d, %d) = %v, routing.XY says %v", cur, dst, got, want)
+			if want := xy(m, cur, dst); got != want {
+				t.Fatalf("Route(%d, %d) = %v, xy says %v", cur, dst, got, want)
 			}
 			nh, err := rf.NextHop(cur, dst)
 			if err != nil {
 				t.Fatalf("NextHop(%d, %d): %v", cur, dst, err)
 			}
-			if want := routing.NextHop(m, cur, dst); nh != want {
-				t.Fatalf("NextHop(%d, %d) = %d, routing says %d", cur, dst, nh, want)
+			if cur == dst {
+				if got != mesh.Local || nh != cur {
+					t.Fatalf("at destination %d: Route = %v, NextHop = %d", cur, got, nh)
+				}
+				continue
+			}
+			if want := m.Neighbor(cur, got); nh != want {
+				t.Fatalf("NextHop(%d, %d) = %d, neighbour in %v is %d", cur, dst, nh, got, want)
+			}
+			if m.HopDistance(nh, dst) != m.HopDistance(cur, dst)-1 {
+				t.Fatalf("step %d->%d toward %d is not minimal", cur, nh, dst)
+			}
+			if m.CoordOf(cur).X != m.CoordOf(dst).X && !got.IsX() {
+				t.Fatalf("Route(%d, %d) = %v before X is resolved", cur, dst, got)
 			}
 		}
 	}
 	for _, in := range []mesh.Direction{mesh.North, mesh.South, mesh.East, mesh.West, mesh.Local} {
 		for _, out := range []mesh.Direction{mesh.North, mesh.South, mesh.East, mesh.West, mesh.Local} {
-			if rf.LegalTurn(in, out) != routing.LegalTurn(in, out) {
-				t.Fatalf("LegalTurn(%v, %v) diverges from routing.LegalTurn", in, out)
+			if rf.LegalTurn(in, out) != legalTurn(in, out) {
+				t.Fatalf("LegalTurn(%v, %v) diverges from legalTurn", in, out)
 			}
 		}
 	}

@@ -67,14 +67,10 @@ func TestPublicEncoding(t *testing.T) {
 		t.Fatalf("zero spec != explicit 8x8 mesh: %d/%d vs %d/%d",
 			len(enc.Codes), enc.WidthBits, len(explicit.Codes), explicit.WidthBits)
 	}
-	// Deprecated wrappers must agree with the merged entry point.
-	old := EncodePunchChannelMesh(8, 8, 27, 2, 3)
-	if len(old.Codes) != len(enc.Codes) || old.WidthBits != enc.WidthBits {
-		t.Fatalf("EncodePunchChannelMesh diverged: %+v", old)
-	}
-	on, err := EncodePunchChannelOn("torus", 8, 8, 27, 2, 3)
-	if err != nil || on == nil || len(on.Codes) == 0 {
-		t.Fatalf("EncodePunchChannelOn: %v %+v", err, on)
+	// A torus channel is derived from the torus routing function.
+	torus, err := EncodePunchChannel(TopologySpec{Topology: "torus", Width: 8, Height: 8}, 27, DirE, 3)
+	if err != nil || torus == nil || len(torus.Codes) == 0 {
+		t.Fatalf("torus encoding: %v %+v", err, torus)
 	}
 }
 
