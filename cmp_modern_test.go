@@ -46,8 +46,8 @@ func runCMP(t *testing.T, cfg powerpunch.Config, bench string, instr int64) (pow
 // golden differential: a CMP/PARSEC workload on the public API, on the
 // topology layer (mesh and torus), must produce a bit-identical run
 // result, execution time, probe report, AND JSONL event trace across
-// every engine — serial active-set (the reference), serial FullTick,
-// the sharded parallel engine at 2/4/8 workers, and parallel FullTick.
+// every engine — the occupancy engine inline on one home, the FullTick
+// reference walk, and the engine sharded at 2/4/8 workers.
 // The trace comparison is the strictest check available: every event's
 // kind, node, cycle stamp, and payload, including the workload's own
 // wl_miss/wl_fill/wl_dir protocol events.
@@ -88,7 +88,6 @@ func TestCMPModernGolden(t *testing.T) {
 					{"workers2", false, 2},
 					{"workers4", false, 4},
 					{"workers8", false, 8},
-					{"fulltick-workers4", true, 4},
 				}
 				for _, v := range variants {
 					cfg := base

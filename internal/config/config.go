@@ -160,14 +160,15 @@ type Config struct {
 	MeasureCycles int64 // cycles of measured injection
 	DrainCycles   int64 // max cycles to wait for in-flight packets
 
-	// Workers selects the deterministic sharded parallel tick engine:
-	// the node set is split into Workers contiguous shards and every
-	// tick phase runs across the shards on a persistent worker pool,
-	// with cross-shard effects committed through per-worker buffers
-	// merged in fixed node order. Results are bit-identical to the
-	// serial engine (the golden differential suite asserts it). 0 or 1
-	// keeps today's single-threaded engine and its guarantees; values
-	// above the node count are clamped. See DESIGN.md §11.
+	// Workers is the occupancy engine's home count: the node set is
+	// split into Workers contiguous shards and every tick section runs
+	// across them on a persistent worker pool, with cross-shard effects
+	// committed through per-home buffers merged in fixed node order.
+	// 0 or 1 runs the same engine as one home, inline on the calling
+	// goroutine with no worker, lane, or atomic. Values above the node
+	// count are clamped. Results are bit-identical for every value (the
+	// golden differential suite asserts it). Ignored under FullTick.
+	// See DESIGN.md §11.
 	Workers int
 
 	// RecyclePackets returns ejected packets to a free list so
@@ -182,11 +183,13 @@ type Config struct {
 	// NI Deliver hook are never recycled.
 	RecyclePackets bool
 
-	// FullTick disables the active-set tick scheduler and walks every
-	// router, link, and NI each cycle — the seed behaviour. The two paths
-	// are bit-identical (the golden-metrics tests assert it); FullTick
-	// exists as the differential-testing reference and as a bisection aid
-	// when a scheduler bug is suspected.
+	// FullTick replaces the occupancy engine with the seed's serial
+	// walk: every router, link, and NI, every cycle, on the calling
+	// goroutine whatever Workers says (so a FullTick reference row can
+	// share a config with a Workers > 1 row). The two are bit-identical
+	// (the golden-metrics tests assert it); FullTick exists as the one
+	// differential-testing reference and as a bisection aid when an
+	// engine bug is suspected.
 	FullTick bool
 
 	// Correctness checking (internal/check).
@@ -230,9 +233,9 @@ type Faults struct {
 	// event (wakeup wants, punch holds, incoming-flit pushes) aimed at a
 	// component it already parked; only local NI injections still
 	// activate. A dropped re-arm leaves a gated router asleep forever or
-	// a delivered flit forever unserved — caught by pg-wake-handshake
-	// (power-gating schemes) or scheduler-liveness (No-PG). No-op under
-	// FullTick.
+	// a flit stranded in its sender's pipe, never pulled by the parked
+	// receiver — caught by pg-wake-handshake (power-gating schemes) or
+	// stale-pipe (No-PG), at any Workers. No-op under FullTick.
 	DropRearms bool
 	// InvertDatelineClass makes VC allocation on wrapped fabrics (torus,
 	// ring) assign every packet the opposite dateline VC class, breaking
@@ -511,13 +514,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("config: Workers must be >= 0, got %d", c.Workers)
-	}
-	if c.Workers > 1 && c.Faults.DropRearms {
-		// The parallel engine delivers flits by having the (always
-		// re-armed) receiver pull them; with re-arms dropped the pull
-		// never happens and the engine would diverge from the serial
-		// fault behaviour instead of reproducing it.
-		return fmt.Errorf("config: the DropRearms fault requires the serial engine (Workers <= 1)")
 	}
 	return nil
 }

@@ -30,8 +30,8 @@ import (
 var EnableChecks bool
 
 // Workers sets Config.Workers for every run launched by the experiment
-// drivers (`powerpunch -workers N`): 0 or 1 keeps the serial engine,
-// N > 1 runs each simulation on the sharded parallel tick engine. Runs
+// drivers (`powerpunch -workers N`): 0 or 1 runs the occupancy engine
+// inline on one home, N > 1 shards each simulation across N homes. Runs
 // stay bit-identical to serial either way; on multi-core hosts the
 // parallel engine shortens the wall time of the biggest fabrics. Note
 // the drivers already run independent simulations concurrently via

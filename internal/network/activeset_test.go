@@ -361,16 +361,19 @@ func TestSimultaneousWakeAndSleepInOneCycle(t *testing.T) {
 // TestDropRearmsFaultIsCaught proves the invariant engine catches a
 // scheduler that loses re-arm events (config.Faults.DropRearms): under a
 // power-gating scheme the gated victim never observes its wakeup and the
-// PG handshake invariants fire; under No-PG the victim holds a delivered
-// head flit it never routes and the scheduler-liveness invariant fires.
-// Either way the fault is caught by checks, not by silent wrong results.
+// PG handshake invariant fires; under No-PG the parked receiver never
+// pulls the flit pushed toward it, and the stale-pipe invariant fires.
+// Either way the fault is caught by checks, not by silent wrong results,
+// and — the engine being one — identically at every worker count.
 func TestDropRearmsFaultIsCaught(t *testing.T) {
-	run := func(t *testing.T, scheme config.Scheme, wantInvariants ...string) {
+	run := func(t *testing.T, scheme config.Scheme, workers int, wantInvariant string) {
 		t.Helper()
 		cfg := activeTestConfig(scheme)
 		cfg.Checks = true
 		cfg.Faults.DropRearms = true
+		cfg.Workers = workers
 		n := mustNew(t, cfg)
+		defer n.Close()
 		var got *check.Artifact
 		n.OnViolation = func(a *check.Artifact) { got = a }
 
@@ -398,19 +401,25 @@ func TestDropRearmsFaultIsCaught(t *testing.T) {
 		if n.DroppedRearms() == 0 {
 			t.Fatalf("%v: violation fired but no re-arm was ever dropped", scheme)
 		}
-		for _, w := range wantInvariants {
-			if got.Violation.Invariant == w {
-				return
-			}
+		if got.Violation.Invariant != wantInvariant {
+			t.Fatalf("%v: violation %q (cycle %d), want %q",
+				scheme, got.Violation.Invariant, got.Violation.Cycle, wantInvariant)
 		}
-		t.Fatalf("%v: violation %q (cycle %d), want one of %v",
-			scheme, got.Violation.Invariant, got.Violation.Cycle, wantInvariants)
 	}
 
-	t.Run("PowerPunch-PG", func(t *testing.T) {
-		run(t, config.PowerPunchPG, "pg-wake-handshake")
-	})
-	t.Run("No-PG", func(t *testing.T) {
-		run(t, config.NoPG, "scheduler-liveness")
-	})
+	for _, c := range []struct {
+		scheme config.Scheme
+		want   string
+	}{
+		{config.PowerPunchPG, "pg-wake-handshake"},
+		{config.NoPG, "stale-pipe"},
+	} {
+		c := c
+		t.Run(c.scheme.String(), func(t *testing.T) {
+			run(t, c.scheme, 0, c.want)
+			t.Run("workers=2", func(t *testing.T) {
+				run(t, c.scheme, 2, c.want)
+			})
+		})
+	}
 }

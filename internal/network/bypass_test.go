@@ -50,9 +50,9 @@ func TestFlyOverBypassFires(t *testing.T) {
 
 // TestFlyOverEngineDifferential is the bypass scheme's bit-identical
 // engine guarantee: the same FlyOver traffic produces an identical
-// RunResult — and identical per-router bypass counts — on the serial
-// active-set scheduler, the FullTick full walk, and the sharded
-// parallel engine at 2, 4, and 8 workers, on both the open mesh and
+// RunResult — and identical per-router bypass counts — on the occupancy
+// engine inline on one home, the FullTick full walk, and the engine
+// sharded at 2, 4, and 8 workers, on both the open mesh and
 // the wrapped torus (whose dateline classes the landing-VC allocation
 // must respect).
 func TestFlyOverEngineDifferential(t *testing.T) {

@@ -68,8 +68,8 @@ func (c ComponentEnergy) Total() float64 { return c.Dynamic + c.Static + c.Overh
 
 // EnergyBreakdown is the versioned per-component energy decomposition
 // of a run (EnergyVersion), derived from the power accountant's
-// integer event counters — so it is bit-identical across the serial,
-// full-walk, and sharded parallel tick engines. Its class sums are the
+// integer event counters — so it is bit-identical across the full walk
+// and the occupancy engine at every worker count. Its class sums are the
 // aggregate RunResult.Energy exactly: both come from the same counters.
 type EnergyBreakdown struct {
 	Version  int             `json:"version"`

@@ -59,16 +59,13 @@ type Network struct {
 	// so every gate/wake event is emitted at its true cycle.
 	bus *obs.Bus
 
-	// sched is the active-set tick scheduler (see sched.go); nil under
-	// Cfg.FullTick, where Step walks every node — the seed behaviour kept
-	// as the differential-testing reference.
+	// sched is the active-set tick scheduler (see sched.go) and par the
+	// occupancy engine that steps it (see par.go), with max(Cfg.Workers,
+	// 1) homes. Both are nil under Cfg.FullTick, where Step walks every
+	// node — the seed behaviour kept as the differential-testing
+	// reference.
 	sched *scheduler
-
-	// par is the deterministic sharded parallel tick engine (see
-	// par.go); nil unless Cfg.Workers > 1. It composes with either
-	// scheduler: the parallel step shards the full walk under
-	// Cfg.FullTick and the active set otherwise, bit-identically.
-	par *parEngine
+	par   *parEngine
 
 	// pool recycles flit objects on the hot path. It is wired only when
 	// Cfg.Checks is off: the invariant engine's stall tracking compares
@@ -162,6 +159,14 @@ func New(cfg config.Config) (*Network, error) {
 		n.NIs = append(n.NIs, ni.New(id, m, &n.Cfg, r, fab, col))
 	}
 
+	if !cfg.FullTick {
+		n.sched = newScheduler(n)
+		for i, nif := range n.NIs {
+			id := int32(i)
+			nif.SetActivityHook(func() { n.sched.activate(id, false) })
+		}
+	}
+
 	if pol.Bypass() {
 		// Wire the through-paths: per router and link direction, the
 		// flown-over neighbor's output port and controller plus the
@@ -174,14 +179,13 @@ func New(cfg config.Config) (*Network, error) {
 		// controller state, which under the active-set scheduler may be
 		// stale for a parked node. The sync hook replays the parked
 		// controller's skipped idle cycles first, so the read sees
-		// exactly the state the full walk would have computed. The
-		// full-tick engine steps every controller every cycle and the
-		// sharded engine syncs the 2-hop halo of every sectioned node
-		// up front (par.go syncNeighbors), so the hook no-ops there.
-		sync := func(id mesh.NodeID) {
-			if n.par == nil && n.sched != nil {
-				n.sched.catchUp(int32(id), n.now-1)
-			}
+		// exactly the state the full walk would have computed; for a
+		// node already synced (live, or halo-synced by a multi-home
+		// engine) it is a read-only early return. The full walk steps
+		// every controller every cycle and installs no hook.
+		var sync func(mesh.NodeID)
+		if n.sched != nil {
+			sync = func(id mesh.NodeID) { n.sched.catchUp(int32(id), n.now-1) }
 		}
 		for id, r := range n.Routers {
 			r.EnableBypass(be)
@@ -200,16 +204,6 @@ func New(cfg config.Config) (*Network, error) {
 		}
 	}
 
-	if !cfg.FullTick {
-		n.sched = newScheduler(n)
-		for _, r := range n.Routers {
-			r.SetForwardHook(n.sched.activateNode)
-		}
-		for i, nif := range n.NIs {
-			id := int32(i)
-			nif.SetActivityHook(func() { n.sched.activate(id, false) })
-		}
-	}
 	if !cfg.Checks {
 		n.pool = flit.NewPool()
 		for _, nif := range n.NIs {
@@ -251,18 +245,19 @@ func New(cfg config.Config) (*Network, error) {
 		}
 	}
 
-	// The parallel engine re-wires the NI pools, collectors, punch
-	// sinks, and forward hooks to per-worker lanes, so it is built last.
-	if cfg.Workers > 1 && nNodes > 1 {
-		n.par = newParEngine(n, cfg.Workers)
+	// The engine wires the forward hooks and, with more than one home,
+	// re-wires the NI pools, collectors, and punch sinks to per-home
+	// lanes, so it is built last.
+	if n.sched != nil {
+		n.par = newParEngine(n, max(cfg.Workers, 1))
 	}
 	return n, nil
 }
 
-// Close releases the parallel engine's worker goroutines. A no-op on
-// serial networks; safe to call more than once. Long-lived processes
-// that build many Workers > 1 networks must call it (tests and
-// benchmarks defer it), or the workers leak.
+// Close releases the engine's worker goroutines. A no-op without them
+// (Workers <= 1, FullTick); safe to call more than once. Long-lived
+// processes that build many Workers > 1 networks must call it (tests
+// and benchmarks defer it), or the workers leak.
 func (n *Network) Close() {
 	if n.par != nil {
 		n.par.Close()
@@ -327,34 +322,23 @@ func (n *Network) NewPacket(src, dst mesh.NodeID, vn flit.VirtualNetwork, kind f
 // the previous cycle first so their deferred static charges land under
 // the flag that was in force when the cycles elapsed.
 func (n *Network) SetAccounting(v bool) {
-	if n.sched != nil {
-		n.sched.syncAll(n.now - 1)
-	}
-	if n.par != nil {
-		// The sync's catch-up charges landed in the per-worker counter
-		// lanes; fold them under the outgoing flag so the boundary is
-		// exact for readers that arrive before the next cycle's fold.
-		n.Acct.FoldLanes()
-	}
+	n.SyncInspection()
 	n.Acct.SetEnabled(v)
 }
 
 // Step advances the network one cycle: the full walk under Cfg.FullTick,
-// the active-set path otherwise, sharded across workers when
-// Cfg.Workers > 1. All paths are bit-identical.
+// the occupancy engine otherwise (inline on one home at Workers <= 1,
+// sharded across homes above). Both are bit-identical.
 func (n *Network) Step() {
-	switch {
-	case n.par != nil:
-		n.par.step()
-	case n.sched == nil:
+	if n.par == nil {
 		n.stepFull()
-	default:
-		n.stepActive()
+		return
 	}
+	n.par.step()
 }
 
 // stepFull is the seed tick: every node walks every phase every cycle.
-// Kept as the differential-testing reference for the active-set path.
+// Kept as the differential-testing reference for the occupancy engine.
 func (n *Network) stepFull() {
 	now := n.now
 	if n.bus != nil {
@@ -412,101 +396,6 @@ func (n *Network) stepFull() {
 		}
 	}
 
-	if n.bus != nil {
-		n.bus.EndCycle()
-	}
-	n.now = now + 1
-}
-
-// stepActive is the active-set tick: the same nine phases, iterated over
-// only the nodes that can change state this cycle. Newly-armed nodes
-// join at the flush points below, always before the first phase whose
-// full-walk behaviour for them would differ from a no-op; every phase
-// iterates the set in ascending node order, so the operation sequence —
-// event and statistics order included — matches the full walk with its
-// no-op nodes deleted.
-func (n *Network) stepActive() {
-	now := n.now
-	s := n.sched
-	if n.bus != nil {
-		n.bus.SetNow(now)
-	}
-
-	// Arm nodes the driver submitted work to since the last cycle.
-	s.flush(now)
-
-	// 1. Deliver. Parked nodes own no non-empty pipes (quiescence drains
-	//    them first), so skipping them delivers everything.
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.deliverNode(n.Routers[i], now)
-	}
-	// Ejection Deliver callbacks may have submitted follow-up work.
-	s.flush(now)
-
-	// 2. NI signalling (a parked NI holds no work: nothing to signal).
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.NIs[i].StepSignals(now)
-	}
-
-	// 3. Punch fabric. Parked routers are empty and emit nothing; the
-	//    fabric itself is skipped once no emission, inbound target, or
-	//    hold remains. Nodes held by a punch must observe it in phase 7,
-	//    so they join the set now.
-	if n.Fabric != nil {
-		for i := s.next(0); i != -1; i = s.next(i + 1) {
-			n.Routers[i].EmitPunches(n.Fabric)
-		}
-		if n.Fabric.NeedsStep() {
-			n.Fabric.Step()
-			for _, id := range n.Fabric.Held() {
-				s.activate(int32(id), true)
-			}
-			s.flush(now)
-		}
-	}
-
-	// 4. Mask outputs whose downstream router asserts PG. A parked
-	//    node's stale masks are unobservable: it is empty, so its switch
-	//    allocator runs no grants until after it re-arms — and then this
-	//    phase has refreshed the masks first.
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.maskBlocked(n.Routers[i])
-	}
-
-	// 5. Router pipelines (empty parked routers would no-op).
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.Routers[i].Step(now)
-	}
-
-	// 6. NI injection. Receivers of freshly-pushed flits were armed by
-	//    the forward hook; flush so they live through phases 7-8 of this
-	//    cycle exactly as the full walk would step them.
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.NIs[i].StepInject(now)
-	}
-	s.flush(now)
-
-	// 7. Power-gating controllers (arms WU-wanted neighbours itself).
-	n.stepControllersActive(now)
-
-	// 8. Power accounting for live nodes; parked nodes accrue the same
-	//    charges in batched catch-up when they re-arm (or eagerly below
-	//    while the invariant engine is comparing counters).
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.Acct.TickStatic(int(i), routerPowerState(n.Routers[i].Ctrl))
-	}
-	n.Acct.TickCycle()
-
-	// 9. Invariant engine: it reads every node's counters each cycle, so
-	//    parked nodes must be charged eagerly while it runs.
-	if n.Checker != nil {
-		s.syncAll(now)
-		if v := n.Checker.EndCycle(now); v != nil {
-			n.reportViolation(v)
-		}
-	}
-
-	s.endCycle(now)
 	if n.bus != nil {
 		n.bus.EndCycle()
 	}
@@ -691,73 +580,6 @@ func (n *Network) stepControllers(now int64) {
 	}
 }
 
-// stepControllersActive is stepControllers over the active set only. A
-// parked node's contribution to the full walk is provably nil: it is
-// empty (no WU wants, cleared on deactivation), its NI idle (no local
-// WU), and its controller parked (Step is a no-op for disabled, and the
-// Gated idle tick is applied by catch-up). The one coupling — an active
-// neighbour's WU want toward a parked gated router — arms that router
-// here, before the wakeup levels are read, so it wakes in the same cycle
-// the full walk would wake it.
-func (n *Network) stepControllersActive(now int64) {
-	if !n.pol.Gates() {
-		return
-	}
-	s := n.sched
-	early := n.pol.EarlyWakeup()
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		r := n.Routers[i]
-		if early {
-			r.WantsOutput(&n.wants[i])
-		} else {
-			r.WantsOutputAtSA(&n.wants[i], now)
-		}
-		// Arm every wanted neighbour: it must observe the WU level this
-		// cycle. (Arming is deferred to the flush below, so this pass
-		// still iterates the pre-arm set.)
-		if r.Empty() {
-			continue
-		}
-		for _, d := range mesh.LinkDirections {
-			if n.wants[i][d] {
-				if nb := n.nbr[i][d]; nb != mesh.Invalid {
-					s.activate(int32(nb), true)
-				}
-			}
-		}
-	}
-	s.flush(now)
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		wu := n.NIs[i].WantsWakeup()
-		if !wu {
-			for _, d := range mesh.LinkDirections {
-				nb := n.nbr[i][d]
-				if nb == mesh.Invalid {
-					continue
-				}
-				if n.wants[nb][d.Opposite()] {
-					wu = true
-					break
-				}
-			}
-		}
-		n.wakeups[i] = wu
-	}
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		r := n.Routers[i]
-		empty := r.Empty() && n.incomingQuiet(r)
-		hold := false
-		if n.Fabric != nil {
-			hold = n.Fabric.Hold(r.ID)
-		}
-		bhold := n.bypassOn && n.bypassHeld(int(i))
-		if n.wakeups[i] && n.Acct.Enabled() {
-			n.Acct.WakeupSignal(int(i))
-		}
-		r.Ctrl.Step(pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
-	}
-}
-
 // incomingQuiet reports that no flit is in flight toward router r (its
 // neighbors' output pipes facing r are empty). Together with the >= 2
 // cycle idle timeout this guarantees gating never strands a flit.
@@ -826,8 +648,8 @@ func (n *Network) Quiesced() bool {
 func (n *Network) SyncInspection() {
 	if n.sched != nil {
 		n.sched.syncAll(n.now - 1)
-	}
-	if n.par != nil {
+		// The catch-up charges of a multi-home engine land in its
+		// per-home counter lanes; fold them so readers see them now.
 		n.Acct.FoldLanes()
 	}
 }
@@ -977,9 +799,7 @@ func (n *Network) RunUntil(d Driver, maxCycles int64) RunResult {
 }
 
 func (n *Network) result(drained bool) RunResult {
-	if n.sched != nil {
-		n.sched.syncAll(n.now - 1)
-	}
+	n.SyncInspection()
 	var gatings int64
 	for _, r := range n.Routers {
 		gatings += r.Ctrl.Stats().GatingEvents

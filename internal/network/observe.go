@@ -46,11 +46,12 @@ func (n *Network) Observe(sinks ...obs.Sink) {
 			n.Fabric.SetBus(n.bus)
 		}
 		if n.par != nil {
-			// Parallel engine: re-point routers, controllers, and NIs
-			// at per-worker recording lane buses whose events the
-			// coordinator replays onto the real bus in serial order.
-			// The fabric keeps the real bus — it only emits on the
-			// coordinator.
+			// Occupancy engine, at any home count: re-point routers,
+			// controllers, and NIs at per-home recording lane buses
+			// whose events the coordinator replays onto the real bus in
+			// reference order (section B's router events must follow
+			// Fabric.Step's). The fabric keeps the real bus — it only
+			// emits on the coordinator.
 			n.par.installLaneBuses(n.bus)
 		}
 	}

@@ -1,39 +1,50 @@
 package network
 
-// The deterministic sharded parallel tick engine (DESIGN.md §11, §16).
+// The occupancy engine (DESIGN.md §11, §16): the production tick of
+// every network not built with Config.FullTick.
 //
-// Config.Workers > 1 selects this engine. The node set is split into
-// contiguous "homes", one per worker; each home owns its routers, NIs,
-// per-home commit buffers (punch ops, obs events, scheduler arms,
-// Deliver callbacks, pool returns), an obs recorder lane, a statistics
-// lane, and a flit/packet pool. Ownership never moves. What does move,
-// cycle to cycle, is the *execution grouping*: the homes are
-// partitioned into k contiguous groups balanced by active-set
-// occupancy, and each group is executed by one goroutine (the
-// coordinator runs group 0 inline; group g >= 1 runs on the goroutine
-// of its first home, which walks the group's homes in ascending
-// order). Asleep regions therefore cost zero worker wakeups: with few
-// active nodes k collapses to 1 and the coordinator runs everything
-// inline with no atomics, and with none it skips the section outright.
+// The node set is split into max(Config.Workers, 1) contiguous
+// "homes". Each home owns its routers and NIs, per-home commit buffers
+// (punch ops, obs events, scheduler arms, Deliver callbacks, pool
+// returns), an obs recorder lane, a statistics lane, and a flit/packet
+// pool. Ownership never moves. What does move, cycle to cycle, is the
+// *execution grouping*: the homes are partitioned into k contiguous
+// groups balanced by active-set occupancy, and each group is executed
+// by one goroutine (the coordinator runs group 0 inline; group g >= 1
+// runs on the goroutine of its first home, which walks the group's
+// homes in ascending order). Asleep regions therefore cost zero worker
+// wakeups: with few active nodes k collapses to 1 and the coordinator
+// runs everything inline with no atomics, and with none it skips the
+// section outright.
 //
-// The result is bit-identical to the serial engines — including event
-// order and statistics sample order — because
+// One home (Workers <= 1) is that inline path with nothing to shard:
+// the home's sinks are the network's own — collector, pool, punch
+// fabric, accountant counters, Deliver calls and forward-hook arms — so
+// no lane is merged or replayed, and parked neighbours are caught up
+// lazily at the read (maskBlocked, the bypass sync hook) instead of by
+// an eager halo sync. Lane buses stay whenever an observer is
+// attached: section B's router events must replay after Fabric.Step.
+//
+// The result is bit-identical to the Config.FullTick reference walk —
+// including event order and statistics sample order — because
 //
 //   - every mutation inside a worker section touches only state with a
 //     single writer (own routers/NIs, own scratch, the uniquely-paired
 //     link pipes and credit counters across a port),
 //   - every cross-home effect is captured in per-home buffers and
 //     replayed by the coordinator in home-major order — which, with
-//     contiguous homes, is exactly the serial engines' ascending-node
+//     contiguous homes, is exactly the reference's ascending-node
 //     order, independent of how homes were grouped for execution, and
 //   - re-grouping happens only at deterministic points (cycle top and
 //     after an arming flush), is a pure function of the active set, and
 //     never changes which home a node commits through.
 //
-// Section fusion (active-set form; FullTick is the same minus the
-// scheduler interactions). The serial engine's nine phases compress
-// into three sections, so a gating cycle pays at most three rendezvous
-// and a non-gating cycle at most two:
+// Section fusion. The reference's nine phases compress into three
+// sections, so a gating cycle pays at most three rendezvous and a
+// non-gating cycle at most two. The coordinator steps between them are
+// also the scheduler's flush points: a node armed mid-cycle joins the
+// active set before the first phase whose reference behaviour for it
+// would differ from a no-op.
 //
 //	coordinator  flush + halo-sync + regroup
 //	section A    pull-deliver flits, push credits, eject
@@ -43,9 +54,10 @@ package network
 //	             mask, router pipelines, NI injection, WU want levels
 //	             (+wanted-neighbour arms) — or, for non-gating schemes,
 //	             the static-power ticks
-//	coordinator  replay punch ops into the real fabric, Fabric.Step,
-//	             replay pipeline+inject events, replay arms, flush
-//	             (+regroup); non-gating: straggler static ticks
+//	coordinator  replay punch ops into the real fabric, Fabric.Step
+//	             (+arm the held nodes), replay pipeline+inject events,
+//	             replay arms, flush (+regroup); non-gating: straggler
+//	             static ticks
 //	section C    wakeup levels, PG controller steps, static-power
 //	             ticks (gating schemes only)
 //	coordinator  replay controller events, TickCycle, merge dirty
@@ -55,17 +67,18 @@ package network
 // Why the fusions are sound:
 //
 //   - Signals/emission fuse into B because StepSignals emits no bus
-//     events and every punch-fabric call is deferred through the sink;
-//     the fabric itself steps on the coordinator after B, and nothing
-//     in B reads fabric state (controller inputs read Fabric.Hold in
-//     C). Energy charges are integer counter bumps into the owner's
-//     lane, so where B and C charge them cannot change any total.
+//     events and every punch-fabric call is deferred through the sink
+//     (or, with one home, made directly in reference order); the
+//     fabric itself steps on the coordinator after B, and nothing in B
+//     reads fabric state (controller inputs read Fabric.Hold in C).
+//     Energy charges are integer counter bumps, so where B and C
+//     charge them cannot change any total.
 //   - Want levels fuse into B because WantsOutput reads only the own
-//     router's post-pipeline state (serial computes it after all of
-//     phases 4-6; per-node state is the same either way) and
+//     router's post-pipeline state (the reference computes it after
+//     all of phases 4-6; per-node state is the same either way) and
 //     controllers are frozen until C. Nodes armed between B and C
-//     never ran B, but the serial engine computes all-false wants for
-//     them (they are empty), which is exactly the cleared value their
+//     never ran B, but the reference computes all-false wants for them
+//     (they are empty), which is exactly the cleared value their
 //     retirement left behind.
 //   - Nodes armed by the fabric's Held list miss B's mask/pipeline/
 //     inject, but a just-armed node is empty (pushes land next cycle),
@@ -82,16 +95,17 @@ package network
 // so one side always sees the other — at worst one stale token is
 // consumed and re-checked. Completion is a single shared countdown.
 //
-// Scheduler composition. Instead of eagerly syncing every parked node
-// every cycle (O(n), which would dominate at 64x64), the coordinator
-// catches up only the *halo*: the 1-hop neighbours (plus the 2-hop
-// through-path when a bypass scheme is on) of every node entering a
-// section, at the cycle top and at every arming flush. That is the
-// complete set of parked-FSM reads inside sections (maskBlocked's
-// PGAsserted, the bypass admission/suppression controller reads);
-// section C reads no parked neighbour FSMs at all. The in-section
-// catchUp calls therefore stay read-only early returns, and everything
-// else syncs lazily exactly as the serial active-set engine does.
+// Scheduler composition. A parked neighbour's FSM is caught up at the
+// read (maskBlocked's PGAsserted, the bypass admission/suppression
+// controller reads); section C reads no parked neighbour FSMs at all.
+// With one home those reads run on the coordinator and sync lazily.
+// With several, two homes could race to catch up a shared neighbour,
+// so the coordinator syncs the *halo* eagerly instead: the 1-hop
+// neighbours (plus the 2-hop through-path when a bypass scheme is on)
+// of every node entering a section, at the cycle top and at every
+// arming flush. The in-section catchUp calls then stay read-only early
+// returns. Either way only the halo is synced, never the whole
+// network (O(n), which would dominate at 64x64).
 //
 // Dirty homes. A home is dirty when any of its nodes is in the active
 // set or was armed this cycle; regrouping and arming flushes maintain
@@ -119,6 +133,7 @@ import (
 	"sync/atomic"
 
 	"powerpunch/internal/flit"
+	"powerpunch/internal/link"
 	"powerpunch/internal/mesh"
 	"powerpunch/internal/ni"
 	"powerpunch/internal/obs"
@@ -157,9 +172,10 @@ const (
 // defers every call into the home's op buffers (sigOps for the NI
 // signal phase, emitOps for the router emission phase) for home-major
 // replay into the real fabric. Outside sections — driver-time Announce
-// and Submit paths — it forwards directly, preserving the serial
-// engine's event stamping (driver-time punch events carry the previous
-// cycle's stamp because SetNow has not run yet).
+// and Submit paths — it forwards directly, preserving the reference's
+// event stamping (driver-time punch events carry the previous cycle's
+// stamp because SetNow has not run yet). Multi-home engines only; with
+// one home the NIs and routers call the fabric itself.
 type punchSink struct{ w *parWorker }
 
 func (ps *punchSink) EmitLocal(src, dst mesh.NodeID) {
@@ -214,7 +230,8 @@ type bypassFwd struct {
 
 // parWorker is one home: a contiguous node range plus its commit lanes
 // and, for homes 1..nw-1, a worker goroutine that executes whatever
-// group of homes the coordinator assigns it.
+// group of homes the coordinator assigns it. With one home the lanes
+// are the network's own sinks.
 type parWorker struct {
 	eng    *parEngine
 	id     int
@@ -230,11 +247,12 @@ type parWorker struct {
 	runHi    int32
 	wakeCh   chan struct{}
 
-	// Lane sinks: events, statistics, flit/packet pool.
-	rec  *obs.Recorder    // nil without an observer
-	bus  *obs.Bus         // lane bus feeding rec; nil without an observer
-	col  *stats.Collector // lane collector, merged each cycle
-	pool *flit.Pool       // nil on checked runs
+	// Lane sinks: events, statistics, flit/packet pool, punch emission.
+	rec  *obs.Recorder       // nil without an observer
+	bus  *obs.Bus            // lane bus feeding rec; nil without an observer
+	col  *stats.Collector    // lane collector, merged each cycle
+	pool *flit.Pool          // nil on checked runs
+	emit router.PunchEmitter // &sink, or the fabric itself with one home
 
 	sink    punchSink
 	flitRec flitSink
@@ -255,13 +273,19 @@ type parWorker struct {
 	panicStack []byte
 }
 
-// parEngine drives the worker pool. It lives on the Network when
-// Config.Workers > 1.
+// parEngine drives the homes. It lives on every Network not built with
+// Config.FullTick.
 type parEngine struct {
 	n       *Network
 	workers []*parWorker
 	ownerOf []int32 // node -> home
 	gates   bool    // pol.Gates(), resolved once
+	lanes   bool    // more than one home: per-home sinks and eager halo sync
+
+	// inFlit[i][k] is the flit pipe feeding node i from direction
+	// mesh.LinkDirections[k] — the facing output of that upstream
+	// neighbour — or nil at a fabric edge; section A pulls from it.
+	inFlit [][mesh.NumLinkDirs]*link.Pipe[router.FlitInTransit]
 
 	realBus *obs.Bus // set by Observe; replay target
 
@@ -305,17 +329,23 @@ type parEngine struct {
 
 func newParEngine(n *Network, workers int) *parEngine {
 	nNodes := n.M.NumNodes()
-	nw := workers
-	if nw > nNodes {
-		nw = nNodes
-	}
+	nw := min(workers, nNodes)
 	e := &parEngine{
 		n:      n,
 		gates:  n.pol.Gates(),
+		lanes:  nw > 1,
 		grain:  defaultParGrain,
 		doneCh: make(chan struct{}, 1),
 	}
 	e.ownerOf = make([]int32, nNodes)
+	e.inFlit = make([][mesh.NumLinkDirs]*link.Pipe[router.FlitInTransit], nNodes)
+	for i := range e.inFlit {
+		for k, d := range mesh.LinkDirections {
+			if nb := n.nbr[i][d]; nb != mesh.Invalid {
+				e.inFlit[i][k] = n.Routers[nb].Out(d.Opposite()).FlitOut
+			}
+		}
+	}
 	base, rem := nNodes/nw, nNodes%nw
 	lo := 0
 	for wid := 0; wid < nw; wid++ {
@@ -329,10 +359,14 @@ func newParEngine(n *Network, workers int) *parEngine {
 			lo:     int32(lo),
 			hi:     int32(lo + size),
 			wakeCh: make(chan struct{}, 1),
-			col:    stats.New(n.Col.MeasureStart, n.Col.MeasureEnd),
+			col:    n.Col,
+			pool:   n.pool,
 		}
 		w.sink.w = w
 		w.flitRec.w = w
+		if n.Fabric != nil {
+			w.emit = n.Fabric
+		}
 		for i := lo; i < lo+size; i++ {
 			e.ownerOf[i] = int32(wid)
 		}
@@ -346,19 +380,23 @@ func newParEngine(n *Network, workers int) *parEngine {
 	e.groups = make([]int32, 0, nw+1)
 	e.dirty = make([]bool, nw)
 	e.stragglers = make([]int32, 0, nNodes)
-	e.lastKeep = e.workers[0].col.KeepingSamples()
-	if n.sched == nil {
-		// FullTick: every node steps every cycle, so the grouping is
-		// static — one group per home, all dispatched — and every home
-		// is permanently dirty.
-		for h := range e.workers {
-			e.groups = append(e.groups, int32(h))
-			e.dirty[h] = true
+	e.lastKeep = n.Col.KeepingSamples()
+
+	if !e.lanes {
+		for _, r := range n.Routers {
+			r.SetForwardHook(n.sched.activateNode)
 		}
+		return e
 	}
 
 	n.Acct.SetLanes(e.ownerOf, nw)
-
+	for _, w := range e.workers {
+		w.col = stats.New(n.Col.MeasureStart, n.Col.MeasureEnd)
+		w.emit = &w.sink
+		if !n.Cfg.Checks {
+			w.pool = flit.NewPool()
+		}
+	}
 	for i, nif := range n.NIs {
 		w := e.workers[e.ownerOf[i]]
 		nif.SetCollector(w.col)
@@ -369,23 +407,14 @@ func newParEngine(n *Network, workers int) *parEngine {
 		nif.SetDeliverDefer(func(p *flit.Packet, at int64) {
 			w.delivs = append(w.delivs, deferredDeliver{nif, p, at})
 		})
-	}
-	if !n.Cfg.Checks {
-		for _, w := range e.workers {
-			w.pool = flit.NewPool()
-		}
-		for i, nif := range n.NIs {
-			w := e.workers[e.ownerOf[i]]
+		if w.pool != nil {
 			nif.SetPool(w.pool)
 			nif.SetFlitRecycler(&w.flitRec)
-			nif.SetPacketRecycling(n.Cfg.RecyclePackets)
 		}
 	}
-	if n.sched != nil {
-		for i, r := range n.Routers {
-			w := e.workers[e.ownerOf[i]]
-			r.SetForwardHook(func(id mesh.NodeID) { w.arms = append(w.arms, id) })
-		}
+	for i, r := range n.Routers {
+		w := e.workers[e.ownerOf[i]]
+		r.SetForwardHook(func(id mesh.NodeID) { w.arms = append(w.arms, id) })
 	}
 
 	for _, w := range e.workers[1:] {
@@ -562,63 +591,33 @@ func (w *parWorker) run(sec int32, now int64) {
 	}
 }
 
-// first and after iterate the home's share of the node set: the home's
-// slice of the active set under the scheduler, the full home range
-// under FullTick. The active bitset is frozen during sections
-// (activations only append to the pending list), so concurrent reads
-// are safe.
-func (w *parWorker) first() int32 {
-	if s := w.eng.n.sched; s != nil {
-		if i := s.next(w.lo); i != -1 && i < w.hi {
-			return i
-		}
-		return -1
-	}
-	if w.lo < w.hi {
-		return w.lo
-	}
-	return -1
-}
-
-func (w *parWorker) after(i int32) int32 {
-	if s := w.eng.n.sched; s != nil {
-		if j := s.next(i + 1); j != -1 && j < w.hi {
-			return j
-		}
-		return -1
-	}
-	if i+1 < w.hi {
-		return i + 1
-	}
-	return -1
-}
-
 // secDeliver is phase 1 in pull form: instead of each sender pushing
 // into downstream buffers, each receiver drains the upstream pipes
 // facing it. The two forms deliver the identical flit multiset — a
 // non-empty pipe's receiver is always in the active set (the forward
-// hook armed it at push time; DropRearms, which breaks that, is
-// rejected with Workers > 1) — and pipe/port/VC state is identical
+// hook armed it at push time) — and pipe/port/VC state is identical
 // because each pipe and each credit counter has exactly one writer.
+// Under the DropRearms fault a lost re-arm strands the flit in the
+// sender's pipe, which the invariant engine reports as stale-pipe.
+// Section bodies iterate their home's slice of the active set; the
+// bitset is frozen during sections (activations only append to the
+// pending list), so concurrent reads are safe.
 func (w *parWorker) secDeliver(now int64) {
 	n := w.eng.n
-	for i := w.first(); i != -1; i = w.after(i) {
+	s := n.sched
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		r := n.Routers[i]
 		// Incoming flits from each upstream neighbour.
-		for _, d := range mesh.LinkDirections {
-			nb := n.nbr[i][d]
-			if nb == mesh.Invalid {
+		for k, fp := range &w.eng.inFlit[i] {
+			if fp == nil || fp.Empty() {
 				continue
 			}
-			op := n.Routers[nb].Out(d.Opposite())
-			if op.FlitOut.Empty() {
-				continue
-			}
-			w.flitBuf = op.FlitOut.DrainAppend(now, w.flitBuf[:0])
+			d := mesh.LinkDirections[k]
+			w.flitBuf = fp.DrainAppend(now, w.flitBuf[:0])
 			for _, ft := range w.flitBuf {
 				if ft.Bypass {
 					w.bypFwd = append(w.bypFwd, bypassFwd{
-						from: nb, via: mesh.NodeID(i), dir: d.Opposite(), ft: ft,
+						from: n.nbr[i][d], via: mesh.NodeID(i), dir: d.Opposite(), ft: ft,
 					})
 					continue
 				}
@@ -666,10 +665,11 @@ func (w *parWorker) secDeliver(now int64) {
 	}
 }
 
-// secMain fuses the serial engine's phases 2-6 (plus the WU-want half
-// of phase 7, or phase 8 for non-gating schemes) into one section: NI
-// punch signalling and router punch emission (both deferred into op
-// buffers; the fabric steps on the coordinator afterwards), output
+// secMain fuses the reference's phases 2-6 (plus the WU-want half of
+// phase 7, or phase 8 for non-gating schemes) into one section: NI
+// punch signalling and router punch emission (deferred into op buffers
+// with several homes; the fabric steps on the coordinator afterwards),
+// output
 // masking, router pipelines, NI injection, and the own-state want
 // levels with their wanted-neighbour arms. Controllers, neighbour
 // output pipes, and the punch fabric are all frozen for the whole
@@ -678,65 +678,59 @@ func (w *parWorker) secDeliver(now int64) {
 // section (see the file comment).
 func (w *parWorker) secMain(now int64) {
 	n := w.eng.n
-	for i := w.first(); i != -1; i = w.after(i) {
+	s := n.sched
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		n.NIs[i].StepSignals(now)
 	}
 	if n.Fabric != nil {
-		for i := w.first(); i != -1; i = w.after(i) {
-			n.Routers[i].EmitPunches(&w.sink)
+		for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
+			n.Routers[i].EmitPunches(w.emit)
 		}
 	}
-	for i := w.first(); i != -1; i = w.after(i) {
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		n.maskBlocked(n.Routers[i])
 	}
-	for i := w.first(); i != -1; i = w.after(i) {
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		n.Routers[i].Step(now)
 	}
 	if w.rec != nil {
 		w.marks[1] = w.rec.Mark()
 	}
-	for i := w.first(); i != -1; i = w.after(i) {
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		n.NIs[i].StepInject(now)
 	}
 	if w.rec != nil {
 		w.marks[2] = w.rec.Mark()
 	}
 	if w.eng.gates {
-		w.secWants(now)
+		// The WU-level half of phase 7: each own router's want levels
+		// from its post-pipeline state, plus the wanted-neighbour arms
+		// the reference would observe this cycle.
+		early := n.pol.EarlyWakeup()
+		for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
+			r := n.Routers[i]
+			if early {
+				r.WantsOutput(&n.wants[i])
+			} else {
+				r.WantsOutputAtSA(&n.wants[i], now)
+			}
+			if r.Empty() {
+				continue
+			}
+			for _, d := range mesh.LinkDirections {
+				if n.wants[i][d] {
+					if nb := n.nbr[i][d]; nb != mesh.Invalid {
+						w.arms = append(w.arms, nb)
+					}
+				}
+			}
+		}
 	} else {
 		// No controllers to step: the static-power tick (phase 8) rides
 		// along here. Nodes armed during this section are charged by
 		// the coordinator's straggler pass instead.
-		for i := w.first(); i != -1; i = w.after(i) {
+		for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 			n.Acct.TickStatic(int(i), routerPowerState(n.Routers[i].Ctrl))
-		}
-	}
-}
-
-// secWants is the WU-level half of phase 7, fused into section B:
-// compute each own router's want levels from its post-pipeline state
-// and collect the wanted-neighbour arms the serial engine would apply
-// inline.
-func (w *parWorker) secWants(now int64) {
-	n := w.eng.n
-	early := n.pol.EarlyWakeup()
-	sched := n.sched
-	for i := w.first(); i != -1; i = w.after(i) {
-		r := n.Routers[i]
-		if early {
-			r.WantsOutput(&n.wants[i])
-		} else {
-			r.WantsOutputAtSA(&n.wants[i], now)
-		}
-		if sched == nil || r.Empty() {
-			continue
-		}
-		for _, d := range mesh.LinkDirections {
-			if n.wants[i][d] {
-				if nb := n.nbr[i][d]; nb != mesh.Invalid {
-					w.arms = append(w.arms, nb)
-				}
-			}
 		}
 	}
 }
@@ -749,7 +743,8 @@ func (w *parWorker) secWants(now int64) {
 // halo sync owes it nothing.
 func (w *parWorker) secCtrl(now int64) {
 	n := w.eng.n
-	for i := w.first(); i != -1; i = w.after(i) {
+	s := n.sched
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		wu := n.NIs[i].WantsWakeup()
 		if !wu {
 			for _, d := range mesh.LinkDirections {
@@ -765,7 +760,7 @@ func (w *parWorker) secCtrl(now int64) {
 		}
 		n.wakeups[i] = wu
 	}
-	for i := w.first(); i != -1; i = w.after(i) {
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		r := n.Routers[i]
 		empty := r.Empty() && n.incomingQuiet(r)
 		hold := false
@@ -778,7 +773,7 @@ func (w *parWorker) secCtrl(now int64) {
 		}
 		r.Ctrl.Step(pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
 	}
-	for i := w.first(); i != -1; i = w.after(i) {
+	for i := s.next(w.lo); i != -1 && i < w.hi; i = s.next(i + 1) {
 		n.Acct.TickStatic(int(i), routerPowerState(n.Routers[i].Ctrl))
 	}
 	if w.rec != nil {
@@ -902,8 +897,8 @@ func (e *parEngine) syncNeighbors(i int32, now int64) {
 }
 
 // syncHalo catches up the halo of the whole active set (see
-// syncNeighbors). Replaces the old engine's eager whole-network
-// syncAll: cost scales with the active set, not the node count.
+// syncNeighbors); multi-home engines only. Cost scales with the active
+// set, not the node count.
 func (e *parEngine) syncHalo(now int64) {
 	s := e.n.sched
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
@@ -911,9 +906,9 @@ func (e *parEngine) syncHalo(now int64) {
 	}
 }
 
-// prepFlush is the parallel engine's arming flush: mark the pending
-// nodes' homes dirty, sync their halos, move them into the active set,
-// and request a re-partition before the next section.
+// prepFlush is the engine's arming flush: mark the pending nodes'
+// homes dirty, sync their halos (multi-home only), move them into the
+// active set, and request a re-partition before the next section.
 func (e *parEngine) prepFlush(now int64) {
 	s := e.n.sched
 	if len(s.pending) == 0 {
@@ -921,7 +916,9 @@ func (e *parEngine) prepFlush(now int64) {
 	}
 	for _, i := range s.pending {
 		e.markDirty(int(e.ownerOf[i]), now)
-		e.syncNeighbors(i, now)
+		if e.lanes {
+			e.syncNeighbors(i, now)
+		}
 	}
 	s.flush(now)
 	e.regroup = true
@@ -930,7 +927,7 @@ func (e *parEngine) prepFlush(now int64) {
 // stragglerStatic charges the phase-8 static tick for nodes armed
 // during section B (forward hooks), which joined too late for the
 // fused tick — non-gating schemes only, where no section C runs. The
-// flush's catch-up-then-tick per node is exactly the serial order, and
+// flush's catch-up-then-tick per node is exactly the reference order, and
 // cross-node order is free (per-node accumulators).
 func (e *parEngine) stragglerStatic(now int64) {
 	n := e.n
@@ -946,7 +943,7 @@ func (e *parEngine) stragglerStatic(now int64) {
 }
 
 // replayCut re-emits the events of one recorder cut onto the real bus,
-// home-major — the serial engines' ascending-node order, since homes
+// home-major — the reference's ascending-node order, since homes
 // are contiguous. Clean homes are skipped (their recorders are empty
 // and their marks zero). Emit restamps the cycle (the lane clocks are
 // kept in step anyway, because emitters derive event payloads from
@@ -974,8 +971,8 @@ func (e *parEngine) replayCut(cut int) {
 // their flown-over routers (see forwardBypass), home-major on the
 // coordinator after the section A rendezvous. Pushes target the next
 // cycle and stream-counter releases are first read in phase 7, so the
-// replay point is behaviourally identical to the serial engines'
-// inline forward during phase 1.
+// replay point is behaviourally identical to the reference's inline
+// forward during phase 1.
 func (e *parEngine) replayBypassForwards(now int64) {
 	n := e.n
 	for _, w := range e.workers {
@@ -993,8 +990,8 @@ func (e *parEngine) replayBypassForwards(now int64) {
 }
 
 // replayDelivers runs the buffered NI Deliver callbacks in ascending
-// node order, on the coordinator — protocol handlers observe the exact
-// serial call order, and their submissions (NewPacket, Submit) run in
+// node order, on the coordinator — protocol handlers observe the
+// reference's exact call order, and their submissions (NewPacket, Submit) run in
 // the single-threaded context they expect.
 func (e *parEngine) replayDelivers() {
 	for _, w := range e.workers {
@@ -1066,9 +1063,8 @@ func (e *parEngine) drainFlitReturns() {
 	}
 }
 
-// step advances the network one cycle on the parallel engine. The
-// structure mirrors stepActive/stepFull phase for phase; see the file
-// comment for the section fusion and rendezvous rationale.
+// step advances the network one cycle. See the file comment for the
+// section fusion, the flush points, and the rendezvous rationale.
 func (e *parEngine) step() {
 	n := e.n
 	now := n.now
@@ -1080,8 +1076,8 @@ func (e *parEngine) step() {
 	// Per-cycle housekeeping: propagate the sample-keeping flag to the
 	// lanes when it changes, reset last cycle's dirty recorders (clean
 	// homes provably have empty recorders and zero marks, so the replay
-	// cuts can always slice them safely), then flush, halo-sync, and
-	// group for the cycle.
+	// cuts can always slice them safely), then flush the driver's arms,
+	// halo-sync, and group for the cycle.
 	keep := n.Col.KeepingSamples()
 	if keep != e.lastKeep {
 		e.lastKeep = keep
@@ -1089,37 +1085,24 @@ func (e *parEngine) step() {
 			w.col.KeepSamples(keep)
 		}
 	}
-	if s == nil {
-		for _, w := range e.workers {
+	for h, w := range e.workers {
+		if e.dirty[h] {
+			e.dirty[h] = false
 			if w.rec != nil {
 				w.rec.Reset()
-				w.marks = [4]int{}
-				// Lane clocks track the real bus: emitters compute event
-				// payloads from bus.Now() (e.g. the KindPGGate
-				// active-period length), so lanes must read the same cycle
-				// the real bus does. Event cycle stamps would be correct
-				// either way — replay restamps them — but payloads are
-				// recorded verbatim.
-				w.bus.SetNow(now)
 			}
+			w.marks = [4]int{}
 		}
-	} else {
-		for h, w := range e.workers {
-			if e.dirty[h] {
-				e.dirty[h] = false
-				if w.rec != nil {
-					w.rec.Reset()
-				}
-				w.marks = [4]int{}
-			}
-		}
-		e.prepFlush(now)
-		e.syncHalo(now)
-		e.regroupNow(now)
-		e.regroup = false
 	}
+	e.prepFlush(now)
+	if e.lanes {
+		e.syncHalo(now)
+	}
+	e.regroupNow(now)
+	e.regroup = false
 
-	// Section A — phase 1: pull-deliver, credits, ejection.
+	// Section A — phase 1: pull-deliver, credits, ejection. Ejection
+	// Deliver callbacks may submit follow-up work: flush it.
 	e.inSection = true
 	e.runSection(secDeliver, now)
 	e.inSection = false
@@ -1128,26 +1111,24 @@ func (e *parEngine) step() {
 	}
 	e.replayCut(0)
 	e.replayDelivers()
-	if s != nil {
-		e.prepFlush(now)
-		e.maybeRegroup(now)
-	}
+	e.prepFlush(now)
+	e.maybeRegroup(now)
 
 	// Section B — phases 2-6 (+ want levels or non-gating static).
 	e.inSection = true
 	e.runSection(secMain, now)
 	e.inSection = false
 
-	// Phase 3's fabric half, on the real fabric in serial order. B
+	// Phase 3's fabric half, on the real fabric in reference order. B
 	// generated this cycle's ops but read no fabric state, and the
 	// holds the step produces are first read in section C — so the
 	// fabric floats here without reordering any event or statistics
-	// sample (see the file comment).
+	// sample (see the file comment). The fabric is skipped once no
+	// emission, inbound target, or hold remains; nodes it holds must
+	// observe the hold in section C, so they are armed now.
 	if n.Fabric != nil {
 		e.replayPunchOps()
-		if s == nil {
-			n.Fabric.Step()
-		} else if n.Fabric.NeedsStep() {
+		if n.Fabric.NeedsStep() {
 			n.Fabric.Step()
 			for _, id := range n.Fabric.Held() {
 				s.activate(int32(id), true)
@@ -1156,29 +1137,27 @@ func (e *parEngine) step() {
 	}
 	e.replayCut(1)
 	e.replayCut(2)
-	if s != nil {
-		e.replayArms(s)
-	}
+	e.replayArms(s)
 
 	// Section C — phases 7-8 (gating schemes); non-gating schemes only
 	// owe the stragglers their static tick.
 	if e.gates {
-		if s != nil {
-			e.prepFlush(now)
-			e.maybeRegroup(now)
-		}
+		e.prepFlush(now)
+		e.maybeRegroup(now)
 		e.inSection = true
 		e.runSection(secCtrl, now)
 		e.inSection = false
 		e.replayCut(3)
-	} else if s != nil {
+	} else {
 		e.stragglerStatic(now)
 	}
 
 	n.Acct.TickCycle()
-	for h, w := range e.workers {
-		if e.dirty[h] {
-			n.Col.Merge(w.col)
+	if e.lanes {
+		for h, w := range e.workers {
+			if e.dirty[h] {
+				n.Col.Merge(w.col)
+			}
 		}
 	}
 	e.drainFlitReturns()
@@ -1187,17 +1166,13 @@ func (e *parEngine) step() {
 	// reads every node's counters, so the whole network is synced first
 	// (checked runs trade the halo economy for coverage).
 	if n.Checker != nil {
-		if s != nil {
-			s.syncAll(now)
-		}
+		s.syncAll(now)
 		if v := n.Checker.EndCycle(now); v != nil {
 			n.reportViolation(v)
 		}
 	}
 
-	if s != nil {
-		s.endCycle(now)
-	}
+	s.endCycle(now)
 	// Fold the counter lanes after the checker's syncAll (whose
 	// catch-up charges land in lanes) so end-of-cycle readers — the
 	// sampler on bus EndCycle, post-run reports — see folded counts.

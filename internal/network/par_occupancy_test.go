@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"powerpunch/internal/config"
@@ -181,5 +182,38 @@ func TestParMetamorphicGrainInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFullTickIgnoresWorkers pins that FullTick always means the serial
+// seed walk: at Workers=4 it builds no engine, starts no goroutine, and
+// computes exactly what the Workers=0 walk computes.
+func TestFullTickIgnoresWorkers(t *testing.T) {
+	run := func(workers int) string {
+		cfg := config.Default()
+		cfg.Scheme = config.PowerPunchPG
+		cfg.WarmupCycles = 0
+		cfg.MeasureCycles = 1 << 40
+		cfg.FullTick = true
+		cfg.Workers = workers
+		before := runtime.NumGoroutine()
+		n := mustNew(t, cfg)
+		defer n.Close()
+		if n.par != nil || n.sched != nil {
+			t.Fatalf("workers=%d: FullTick built an engine or a scheduler", workers)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("workers=%d: FullTick started %d goroutines", workers, after-before)
+		}
+		n.SetAccounting(true)
+		d := &randomDriver{rng: rand.New(rand.NewSource(29)), rate: 0.10, until: 300}
+		for cyc := 0; cyc < 300; cyc++ {
+			d.Tick(n, n.Now())
+			n.Step()
+		}
+		return occupancyFingerprint(t, n)
+	}
+	if got, want := run(4), run(0); got != want {
+		t.Errorf("FullTick at workers=4 diverged from workers=0:\n got %s\nwant %s", got, want)
 	}
 }

@@ -21,8 +21,10 @@ import (
 // ascending order (the full-walk iteration order) with no sorting, and
 // arming or retiring a node is a single bit operation. Mid-cycle
 // activations go through a pending list first and join the set only at
-// the explicit flush points in stepActive, so a phase never observes a
-// node armed while that phase was already iterating.
+// the explicit flush points in the occupancy engine's step (par.go),
+// so a phase never observes a node armed while that phase was already
+// iterating. The engine owns the scheduler: every network not built
+// with Config.FullTick has one of each, at any Workers.
 //
 // Quiescence does not require the PG controller to have finished its
 // own idle journey: with an empty datapath and no wakeup or punch level
@@ -38,7 +40,7 @@ import (
 //
 // Skipped nodes are therefore never unaccounted: catch-up replays the
 // identical per-cycle operations — controller Step with idle inputs,
-// then the static-power tick — so active-set runs are bit-identical to
+// then the static-power tick — so engine runs are bit-identical to
 // Config.FullTick full-walk runs; the golden-metrics tests assert it.
 // Once the replayed FSM parks (disabled or Gated, both fixed points),
 // the remaining cycles collapse into one O(1) AdvanceIdleGated +
@@ -255,19 +257,6 @@ func (s *scheduler) endCycle(now int64) {
 			s.n.wants[i] = [mesh.NumPorts]bool{}
 		}
 	}
-}
-
-// empty reports whether the active set and the pending list hold nothing.
-func (s *scheduler) empty() bool {
-	if len(s.pending) > 0 {
-		return false
-	}
-	for _, w := range s.active {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // NodeSteps returns the number of cycles node id spent in the active set

@@ -38,11 +38,11 @@ type futureMessage struct {
 }
 
 // PunchFabric is the subset of the punch fabric the NI drives: the
-// injection-node signals of the paper's Section 4.2. The serial engine
-// wires the real *core.Fabric; the sharded parallel tick engine wires a
-// per-worker sink that defers the calls into an op buffer replayed in
-// fixed node order before Fabric.Step — both orders produce identical
-// fabric state because the signals are per-emitter levels.
+// injection-node signals of the paper's Section 4.2. The full walk and
+// the one-home tick engine wire the real *core.Fabric; a multi-home
+// engine wires a per-home sink that defers the calls into an op buffer
+// replayed in fixed node order before Fabric.Step — both orders produce
+// identical fabric state because the signals are per-emitter levels.
 type PunchFabric interface {
 	EmitLocal(src, dst mesh.NodeID)
 	HoldLocal(n mesh.NodeID)
@@ -104,10 +104,10 @@ type NI struct {
 	// nil: delivered packets are owned by the protocol handler.
 	recycle bool
 
-	// deliverDefer, when set, intercepts Deliver-bound packets. The
-	// parallel engine buffers them per worker and replays the real
+	// deliverDefer, when set, intercepts Deliver-bound packets. A
+	// multi-home engine buffers them per home and replays the real
 	// Deliver calls on the coordinator in ascending node order, so a
-	// protocol handler observes the serial engine's exact call order.
+	// protocol handler observes the reference's exact call order.
 	deliverDefer func(p *flit.Packet, now int64)
 
 	// bus, when non-nil, receives inject/eject/NI-block events.

@@ -4,8 +4,8 @@
 // worker pool with admission control; finished results are cached by
 // a canonical (config, seed) hash, so repeated queries are served
 // byte-identically at zero simulation cost — sound because runs are
-// seed-deterministic and bit-identical across the serial, full-walk,
-// and sharded parallel engines. Campaigns fan parameter sweeps out
+// seed-deterministic and bit-identical across the full-walk reference
+// and the occupancy engine at every worker count. Campaigns fan parameter sweeps out
 // over the same pool, report progress, survive graceful shutdown via
 // a persisted state file, and export the in-process loadsweep CSV
 // bit-for-bit. See DESIGN.md §13.
@@ -165,9 +165,10 @@ func (s JobSpec) config() (config.Config, error) {
 
 // Key returns the canonical (config, seed) hash of the normalized
 // spec: SHA-256 over a versioned, field-tagged rendering with floats
-// in exact hexadecimal form. Workers is deliberately excluded — the
-// serial, full-walk, and sharded engines are proven bit-identical, so
-// the engine choice cannot change the result and must not split the
+// in exact hexadecimal form. Workers is deliberately excluded — it
+// only sets how many homes the one occupancy engine shards the cycle
+// over, and every count is proven bit-identical to the full-walk
+// reference, so it cannot change the result and must not split the
 // cache.
 func (s JobSpec) Key() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(

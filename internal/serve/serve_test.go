@@ -630,3 +630,72 @@ func TestSubmitFlyOverScheme(t *testing.T) {
 	}
 	ts.waitJob(t, cr.ID)
 }
+
+// TestPanickingJobFailsAndServerSurvives pins that one panicking job
+// cannot take the server down: the job fails with the panic text,
+// jobs_failed counts it, and the lone worker goes on to complete the
+// next job.
+func TestPanickingJobFailsAndServerSurvives(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	var calls atomic.Int32
+	ts.hookRunning = func(*job) {
+		if calls.Add(1) == 1 {
+			panic("injected job fault")
+		}
+	}
+
+	bad := ts.submit(t, quickSpec(91), http.StatusAccepted)
+	js := ts.waitJob(t, bad.ID)
+	if js.Status != "failed" || !strings.Contains(js.Error, "injected job fault") {
+		t.Fatalf("panicking job = %+v, want failed with the panic text", js)
+	}
+
+	good := ts.submit(t, quickSpec(92), http.StatusAccepted)
+	if js := ts.waitJob(t, good.ID); js.Status != "done" {
+		t.Fatalf("job after the panic = %+v, want done", js)
+	}
+	st := ts.statsOf(t)
+	if st["jobs_failed"] != 1 || st["jobs_completed"] != 1 {
+		t.Errorf("failed=%v completed=%v, want 1 and 1", st["jobs_failed"], st["jobs_completed"])
+	}
+}
+
+// TestPanickingOwnerReleasesWaiters pins the owner half of panic
+// recovery: a job that panics while it owns its key's cache entry
+// fills the entry with the panic, so a waiter that joined the in-flight
+// entry is released with that error instead of hanging, and the failed
+// entry is forgotten — the next submission of the key simulates afresh.
+func TestPanickingOwnerReleasesWaiters(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	joined := make(chan *cacheEntry, 1)
+	ts.simulate = func(spec JobSpec) (*JobRecord, error) {
+		e, owner := ts.cache.acquire(spec.Key())
+		if owner {
+			t.Error("a second acquire of an in-flight key became its owner")
+		}
+		joined <- e
+		panic("injected simulation fault")
+	}
+
+	bad := ts.submit(t, quickSpec(93), http.StatusAccepted)
+	js := ts.waitJob(t, bad.ID)
+	if js.Status != "failed" || !strings.Contains(js.Error, "injected simulation fault") {
+		t.Fatalf("panicking owner = %+v, want failed with the panic text", js)
+	}
+	e := <-joined
+	select {
+	case <-e.ready:
+	default:
+		t.Fatal("the waiter on the panicking owner's entry was never released")
+	}
+	if e.err == nil || !strings.Contains(e.err.Error(), "injected simulation fault") {
+		t.Errorf("waiter released with err %v, want the panic text", e.err)
+	}
+
+	// The submission below is received by the worker after this write.
+	ts.simulate = runSpec
+	retry := ts.submit(t, quickSpec(93), http.StatusAccepted)
+	if js := ts.waitJob(t, retry.ID); js.Status != "done" || js.Cached {
+		t.Fatalf("resubmitted key = %+v, want a fresh successful simulation", js)
+	}
+}

@@ -170,6 +170,9 @@ type Server struct {
 	// worker as it picks up a job — the test seam for freezing the pool
 	// deterministically (admission-control and shutdown tests).
 	hookRunning func(*job)
+	// simulate runs a cache-owning job's simulation: runSpec, or a
+	// test's fake (the seam that reaches the owner's panic path).
+	simulate func(JobSpec) (*JobRecord, error)
 }
 
 // New builds a Server, restores campaign state from Options.StatePath
@@ -189,6 +192,7 @@ func New(opts Options) (*Server, error) {
 		streamSem: make(chan struct{}, opts.Workers),
 		jobm:      make(map[string]*job),
 		camps:     make(map[string]*campaign),
+		simulate:  runSpec,
 	}
 	s.initMetrics()
 	if opts.StatePath != "" {
@@ -339,37 +343,61 @@ func (s *Server) worker() {
 // runJob executes one dequeued job through the cache's single-flight
 // discipline: the first worker on a key simulates and fills the
 // cache; concurrent workers on the same key wait and reuse its bytes.
+// A panicking job fails with the panic text; the worker keeps serving.
 func (s *Server) runJob(j *job) {
 	j.setRunning()
+	data, cached, err := s.execute(j)
+	if err != nil {
+		s.mFailed.Add(1)
+		j.fail(err.Error())
+	} else {
+		s.mCompleted.Add(1)
+		j.complete(data, cached)
+	}
+	if j.camp != nil {
+		s.notePoint(j, data, err)
+	}
+}
+
+// execute produces j's record: simulated and cached by the key's owner,
+// or read from the owner's entry by a waiter (cached reports the
+// latter). A panic in here — the simulator's, an engine worker's
+// re-raised one, or the test hook's — comes back as an error carrying
+// the panic text, and an entry this worker owns but has not filled is
+// filled with that error, so waiters on the key are released.
+func (s *Server) execute(j *job) (data []byte, cached bool, err error) {
+	var e *cacheEntry
+	unfilled := false
+	defer func() {
+		if r := recover(); r != nil {
+			data, cached, err = nil, false, fmt.Errorf("job panicked: %v", r)
+			if unfilled {
+				s.cache.fill(e, nil, err)
+			}
+		}
+	}()
 	if h := s.hookRunning; h != nil {
 		h(j)
 	}
 	e, owner := s.cache.acquire(j.key)
 	if owner {
-		rec, err := runSpec(j.spec)
-		var data []byte
-		if err == nil {
-			data, err = json.Marshal(rec)
+		unfilled = true
+		rec, runErr := s.simulate(j.spec)
+		var out []byte
+		if runErr == nil {
+			out, runErr = json.Marshal(rec)
 		}
-		if err == nil {
+		if runErr == nil {
 			s.mMisses.Add(1)
 			s.mSimCycles.Add(rec.Result.Cycles)
 		}
-		s.cache.fill(e, data, err)
+		unfilled = false
+		s.cache.fill(e, out, runErr)
 	} else {
 		s.mHits.Add(1)
 		<-e.ready
 	}
-	if e.err != nil {
-		s.mFailed.Add(1)
-		j.fail(e.err.Error())
-	} else {
-		s.mCompleted.Add(1)
-		j.complete(e.data, !owner)
-	}
-	if j.camp != nil {
-		s.notePoint(j, e.data, e.err)
-	}
+	return e.data, !owner, e.err
 }
 
 // --- HTTP plumbing -------------------------------------------------

@@ -24,13 +24,14 @@ func runSynthetic(t *testing.T, cfg powerpunch.Config, pat powerpunch.TrafficPat
 }
 
 // TestParallelMatchesSerial is the golden differential suite for the
-// sharded parallel tick engine: for every scheme, on every fabric, under
-// both schedulers (active-set and FullTick), the parallel engine at 2,
-// 4, and 8 workers must produce a RunResult (Detail included — the full
-// floating-point energy breakdown and exact stage decomposition) and a
-// per-router report bit-identical to the serial engine's. The parallel
-// runs also enable packet recycling, proving the pooled hot path is
-// invisible to results.
+// occupancy engine, anchored on the one reference: for every scheme, on
+// every fabric, the FullTick seed walk is run directly, and the engine
+// at 0 (one home, inline), 2, 4, and 8 workers must each produce a
+// RunResult (Detail included — the full floating-point energy breakdown
+// and exact stage decomposition) and a per-router report == to it. The
+// "full" legs pin that FullTick ignores Workers: the walk at 2, 4, and
+// 8 workers equals the walk at 0. The worker runs also enable packet
+// recycling, proving the pooled hot path is invisible to results.
 func TestParallelMatchesSerial(t *testing.T) {
 	fabrics := []struct {
 		topo          string
@@ -61,8 +62,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 					}
 					fab, s, fullTick, pat := fab, s, fullTick, pat
 					sched := "active"
+					workers := []int{0, 2, 4, 8}
 					if fullTick {
 						sched = "full"
+						workers = []int{2, 4, 8}
 					}
 					name := fmt.Sprintf("%s/%s/%s/%s", fab.topo, s, sched, pat.name)
 					t.Run(name, func(t *testing.T) {
@@ -73,24 +76,26 @@ func TestParallelMatchesSerial(t *testing.T) {
 						cfg.Width, cfg.Height = fab.width, fab.height
 						cfg.WarmupCycles = 300
 						cfg.MeasureCycles = 1500
-						cfg.FullTick = fullTick
 
-						serial, serialRep := runSynthetic(t, cfg, pat.p, pat.load)
-						if serial.Summary.Ejected == 0 {
-							t.Fatalf("degenerate run, nothing ejected: %+v", serial)
+						rcfg := cfg
+						rcfg.FullTick = true
+						ref, refRep := runSynthetic(t, rcfg, pat.p, pat.load)
+						if ref.Summary.Ejected == 0 {
+							t.Fatalf("degenerate run, nothing ejected: %+v", ref)
 						}
-						for _, workers := range []int{2, 4, 8} {
+						for _, w := range workers {
 							pcfg := cfg
-							pcfg.Workers = workers
+							pcfg.FullTick = fullTick
+							pcfg.Workers = w
 							pcfg.RecyclePackets = true
-							par, parRep := runSynthetic(t, pcfg, pat.p, pat.load)
-							if par != serial {
-								t.Errorf("workers=%d result differs from serial:\nserial   %+v\nparallel %+v",
-									workers, serial, par)
+							got, gotRep := runSynthetic(t, pcfg, pat.p, pat.load)
+							if got != ref {
+								t.Errorf("%s workers=%d result differs from the FullTick reference:\nreference %+v\ngot       %+v",
+									sched, w, ref, got)
 							}
-							if parRep != serialRep {
-								t.Errorf("workers=%d per-router reports differ:\nserial:\n%s\nparallel:\n%s",
-									workers, serialRep, parRep)
+							if gotRep != refRep {
+								t.Errorf("%s workers=%d per-router reports differ:\nreference:\n%s\ngot:\n%s",
+									sched, w, refRep, gotRep)
 							}
 						}
 					})
@@ -149,12 +154,15 @@ func TestParallelEnergyComponentsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelObservedIsGoldenIdentical proves the parallel engine's
-// deferred event replay reproduces the serial engine's event stream
-// exactly: an attached counters probe (which tallies every event kind
-// per node and derives latency splits from event payloads) must render
-// the identical report, and attaching the observer must not perturb the
-// run result.
+// TestParallelObservedIsGoldenIdentical proves the engine's deferred
+// event replay reproduces the FullTick reference's event stream exactly:
+// an attached counters probe (which tallies every event kind per node
+// and derives latency splits from event payloads) must render the
+// identical report, the JSONL traces must match byte for byte, and
+// attaching the observer must not perturb the run result. The "active"
+// leg runs the engine at 0 workers (one home, lane buses kept) and 4,
+// the "full" leg FullTick at 4 workers (which ignores Workers, so no
+// lane bus is installed).
 func TestParallelObservedIsGoldenIdentical(t *testing.T) {
 	for _, s := range []powerpunch.Scheme{powerpunch.ConvOptPG, powerpunch.PowerPunchPG} {
 		for _, fullTick := range []bool{false, true} {
@@ -165,7 +173,7 @@ func TestParallelObservedIsGoldenIdentical(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", s, sched), func(t *testing.T) {
 				t.Parallel()
-				run := func(workers int) (powerpunch.RunResult, string, string) {
+				run := func(workers int, fullTick bool) (powerpunch.RunResult, string, string) {
 					cfg := powerpunch.DefaultConfig()
 					cfg.Scheme = s
 					cfg.Width, cfg.Height = 4, 4
@@ -191,19 +199,25 @@ func TestParallelObservedIsGoldenIdentical(t *testing.T) {
 					}
 					return res, rep.String(), trace.String()
 				}
-				serial, serialProbe, serialTrace := run(0)
-				par, parProbe, parTrace := run(4)
-				if par != serial {
-					t.Errorf("observed parallel result differs:\nserial   %+v\nparallel %+v", serial, par)
+				ref, refProbe, refTrace := run(0, true)
+				workers := []int{0, 4}
+				if fullTick {
+					workers = []int{4}
 				}
-				if parProbe != serialProbe {
-					t.Errorf("probe reports differ:\nserial:\n%s\nparallel:\n%s", serialProbe, parProbe)
-				}
-				// The full JSONL event trace compares every event's kind,
-				// node, cycle stamp, AND payload fields — the strictest
-				// replay-order check available.
-				if parTrace != serialTrace {
-					t.Error("full event traces differ between serial and parallel runs")
+				for _, w := range workers {
+					got, gotProbe, gotTrace := run(w, fullTick)
+					if got != ref {
+						t.Errorf("workers=%d observed result differs:\nreference %+v\ngot       %+v", w, ref, got)
+					}
+					if gotProbe != refProbe {
+						t.Errorf("workers=%d probe reports differ:\nreference:\n%s\ngot:\n%s", w, refProbe, gotProbe)
+					}
+					// The full JSONL event trace compares every event's
+					// kind, node, cycle stamp, AND payload fields — the
+					// strictest replay-order check available.
+					if gotTrace != refTrace {
+						t.Errorf("workers=%d full event trace differs from the reference", w)
+					}
 				}
 			})
 		}
